@@ -13,6 +13,11 @@ use std::time::Instant;
 
 const DAY_SECS: f64 = 86_400.0;
 
+/// `(seed, world digest)` of the sequential campaign, pinned from a
+/// known-good build: a refactor of the serving or pricing path must not
+/// move a single bit of the wire trace.
+const PINNED: (u64, u64) = (2004, 9_880_225_460_889_492_086);
+
 fn assert_close(actual: f64, expected: f64, tol: f64, what: &str) {
     assert!(
         (actual - expected).abs() <= tol * expected.abs(),
@@ -37,6 +42,12 @@ fn sequential_campaign(seed: u64) -> (f64, CrawlReport, u64, f64) {
         campaign.world().digest(),
         wall.elapsed().as_secs_f64(),
     )
+}
+
+#[test]
+fn sequential_campaign_digest_is_pinned() {
+    let (_, _, digest, _) = sequential_campaign(PINNED.0);
+    assert_eq!(digest, PINNED.1);
 }
 
 /// The acceptance campaign: >30 simulated days of sequential extraction
