@@ -1,19 +1,16 @@
-//! Multithreaded guarded-query throughput, before/after the lock-free
-//! read path: the old global-mutex design (`ReadPath::Locked` with one
-//! shard) against the snapshot path, at 1/2/4/8 worker threads.
+//! Multithreaded guarded-query throughput on the lock-free snapshot read
+//! path, at 1/2/4/8 worker threads.
 //!
 //! The machine-readable sweep (and the ≥3x acceptance check at 8
-//! threads) lives in the `throughput` binary, which writes
-//! `BENCH_throughput.json`:
+//! threads against the recorded global-mutex baseline) lives in the
+//! `throughput` binary, which writes `BENCH_throughput.json`:
 //!
 //! ```text
 //! cargo run -p delayguard-bench --release --bin throughput
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use delayguard_bench::throughput::{
-    locked_single_mutex_config, run, seeded_db, snapshot_sharded_config, ThroughputConfig,
-};
+use delayguard_bench::throughput::{run, seeded_db, ThroughputConfig};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -24,13 +21,7 @@ fn bench(c: &mut Criterion) {
         ..ThroughputConfig::default()
     };
     for threads in [1usize, 2, 4, 8] {
-        let locked = seeded_db(locked_single_mutex_config(), &shape);
-        group.bench_with_input(
-            BenchmarkId::new("locked_single_mutex", threads),
-            &threads,
-            |b, &threads| b.iter(|| black_box(run(&locked, threads, &shape).qps)),
-        );
-        let snapshot = seeded_db(snapshot_sharded_config(), &shape);
+        let snapshot = seeded_db(&shape);
         group.bench_with_input(
             BenchmarkId::new("snapshot_sharded", threads),
             &threads,

@@ -2,23 +2,22 @@
 //! `benches/concurrent_throughput.rs` and the `throughput` binary.
 //!
 //! Measures end-to-end guarded `SELECT` throughput (execute + price +
-//! record, via `execute_stmt_with_deadline`) at increasing thread counts
-//! under the two read paths:
+//! record) at increasing thread counts on the wall-clock read path:
+//! pricing from the immutable snapshot, recording through the lock-free
+//! queue. Two pipelines are swept:
 //!
-//! * **`locked_single_mutex`** — [`ReadPath::Locked`] with `shards = 1`:
-//!   an honest reproduction of the pre-snapshot design, where every
-//!   query serialized on one global guard mutex.
-//! * **`snapshot_sharded`** — [`ReadPath::Snapshot`] (the default):
-//!   pricing from the immutable snapshot, recording through the
-//!   lock-free queue.
+//! * **`snapshot_sharded`** — ad-hoc pre-parsed statements through
+//!   `execute_stmt_with_deadline`.
+//! * **`prepared_zero_copy`** — prepared statements through
+//!   `execute_prepared_streaming` with recycled buffers.
 //!
-//! Queries are multi-row range scans so per-tuple charging (the work the
-//! old design did under the lock) dominates, exactly the contention the
-//! snapshot path removes.
+//! Queries are multi-row range scans so per-tuple charging dominates —
+//! the work the pre-snapshot global-mutex design did under its lock.
+//! That design is gone; its recorded 8-thread qps is the baseline the
+//! `throughput` binary's scaling gate compares against.
 
 use delayguard_core::{
     AccessDelayPolicy, ChargedChunk, GuardConfig, GuardPolicy, GuardedDatabase, PreparedQuery,
-    ReadPath,
 };
 use delayguard_query::ast::Statement;
 use delayguard_query::{parse, ExecScratch, RowBuf};
@@ -82,21 +81,7 @@ pub struct ThroughputSample {
     pub tuples_per_sec: f64,
 }
 
-/// The guard configuration for the pre-snapshot baseline: one global
-/// mutex, exact pricing.
-pub fn locked_single_mutex_config() -> GuardConfig {
-    bench_policy()
-        .with_read_path(ReadPath::Locked)
-        .with_shards(1)
-}
-
-/// The guard configuration under test: the default lock-free snapshot
-/// path.
-pub fn snapshot_sharded_config() -> GuardConfig {
-    bench_policy().with_read_path(ReadPath::Snapshot)
-}
-
-fn bench_policy() -> GuardConfig {
+fn bench_config() -> GuardConfig {
     // The paper's canonical policy with a finite cap; no decay so the
     // warm-up's learned distribution is stable across the run.
     GuardConfig::paper_default().with_policy(GuardPolicy::AccessRate(
@@ -107,8 +92,8 @@ fn bench_policy() -> GuardConfig {
 /// Build and seed a guarded database for the workload: `rows` tuples,
 /// indexed id column, plus sequential warm-up traffic (through the exact
 /// virtual-time path) and an initial snapshot refresh.
-pub fn seeded_db(config: GuardConfig, shape: &ThroughputConfig) -> Arc<GuardedDatabase> {
-    let db = GuardedDatabase::new(config);
+pub fn seeded_db(shape: &ThroughputConfig) -> Arc<GuardedDatabase> {
+    let db = GuardedDatabase::new(bench_config());
     db.execute_at("CREATE TABLE t (id INT NOT NULL, body TEXT)", 0.0)
         .unwrap();
     db.execute_at("CREATE UNIQUE INDEX t_pk ON t (id)", 0.0)
@@ -372,42 +357,28 @@ pub fn measure_hot_path(
     }
 }
 
-/// Sweep thread counts for one configuration over a freshly seeded
-/// database per point (so no run inherits another's learned state).
-pub fn sweep(
-    config: GuardConfig,
-    shape: &ThroughputConfig,
-    thread_counts: &[usize],
-) -> Vec<ThroughputSample> {
+/// Sweep thread counts over a freshly seeded database per point (so no
+/// run inherits another's learned state).
+pub fn sweep(shape: &ThroughputConfig, thread_counts: &[usize]) -> Vec<ThroughputSample> {
     thread_counts
         .iter()
-        .map(|&threads| {
-            let db = seeded_db(config, shape);
-            run(&db, threads, shape)
-        })
+        .map(|&threads| run(&seeded_db(shape), threads, shape))
         .collect()
 }
 
 /// [`sweep`], but through the prepared zero-copy pipeline.
-pub fn sweep_prepared(
-    config: GuardConfig,
-    shape: &ThroughputConfig,
-    thread_counts: &[usize],
-) -> Vec<ThroughputSample> {
+pub fn sweep_prepared(shape: &ThroughputConfig, thread_counts: &[usize]) -> Vec<ThroughputSample> {
     thread_counts
         .iter()
-        .map(|&threads| {
-            let db = seeded_db(config, shape);
-            run_prepared(&db, threads, shape)
-        })
+        .map(|&threads| run_prepared(&seeded_db(shape), threads, shape))
         .collect()
 }
 
 /// The satellite experiment behind "STATS traffic can't stall queries":
 /// measure worker qps while one storm thread continuously inspects
 /// per-tuple delays. With `exact_stats` the storm uses
-/// `GuardedDatabase::tuple_delay`, which (like the pre-snapshot
-/// `popularity_rank`) takes the same exclusive lock as query writers;
+/// `GuardedDatabase::tuple_delay`, which applies pending events under
+/// the refresh lock and reads the live trackers under their shard lock;
 /// otherwise it uses the lock-free `snapshot_tuple_delay` read.
 pub fn run_with_stats_storm(
     db: &Arc<GuardedDatabase>,
@@ -452,16 +423,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_runs_both_paths() {
+    fn smoke_runs_both_stats_storms() {
         let shape = ThroughputConfig {
             rows: 256,
             rows_per_query: 8,
             queries_per_thread: 50,
             warmup_queries: 50,
         };
-        for config in [locked_single_mutex_config(), snapshot_sharded_config()] {
-            let db = seeded_db(config, &shape);
-            let sample = run(&db, 2, &shape);
+        for exact_stats in [true, false] {
+            let db = seeded_db(&shape);
+            let sample = run_with_stats_storm(&db, 2, &shape, exact_stats);
             assert_eq!(sample.queries, 100);
             assert!(sample.qps > 0.0);
         }
@@ -475,7 +446,7 @@ mod tests {
             queries_per_thread: 25,
             warmup_queries: 10,
         };
-        let db = seeded_db(snapshot_sharded_config(), &shape);
+        let db = seeded_db(&shape);
         let sample = run_prepared(&db, 2, &shape);
         assert_eq!(sample.queries, 50);
         db.refresh();
@@ -491,7 +462,7 @@ mod tests {
             queries_per_thread: 50,
             warmup_queries: 50,
         };
-        let db = seeded_db(snapshot_sharded_config(), &shape);
+        let db = seeded_db(&shape);
         // The test harness has no counting allocator; a constant probe
         // still exercises the measurement plumbing end to end.
         let meters = measure_hot_path(&db, &shape, &|| 0);
@@ -511,7 +482,7 @@ mod tests {
             queries_per_thread: 25,
             warmup_queries: 10,
         };
-        let db = seeded_db(snapshot_sharded_config(), &shape);
+        let db = seeded_db(&shape);
         let sample = run(&db, 4, &shape);
         db.refresh();
         // warmup + measured tuples all recorded, none lost.

@@ -4,7 +4,7 @@ use crate::access::AccessDelayPolicy;
 use crate::error::{GuardError, Result};
 use crate::policy::{ChargingModel, GuardPolicy};
 use crate::shaping::DelayShaping;
-use crate::snapshot::{ReadPath, SnapshotPolicy};
+use crate::snapshot::SnapshotPolicy;
 
 /// Configuration of a [`crate::GuardedDatabase`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,16 +18,8 @@ pub struct GuardConfig {
     pub access_decay_rate: f64,
     /// Decay rate for update counts.
     pub update_decay_rate: f64,
-    /// How the wall-clock (`execute_with_deadline`) path prices and
-    /// records accesses. The virtual-time simulation path (`execute_at`)
-    /// always uses the exact locked path.
-    pub read_path: ReadPath,
     /// Bounded-staleness knobs for the snapshot read path.
     pub snapshot: SnapshotPolicy,
-    /// Number of shards the per-table guard state (and the record queue)
-    /// is split across. Rounded up to a power of two; `1` reproduces the
-    /// original global-mutex guard.
-    pub shards: usize,
     /// Timing-side-channel defense: quantize delays into geometric
     /// buckets and add seeded per-(query, tuple) jitter so response
     /// times stop revealing popularity rank. Off by default —
@@ -39,16 +31,14 @@ pub struct GuardConfig {
 impl GuardConfig {
     /// The paper's canonical configuration: access-rate delays with
     /// `α = 1.5`, `β = 1.0`, a 10-second cap, per-tuple-sum charging and
-    /// no decay; snapshot read path with default staleness bounds.
+    /// no decay; default snapshot staleness bounds.
     pub fn paper_default() -> GuardConfig {
         GuardConfig {
             policy: GuardPolicy::AccessRate(AccessDelayPolicy::new(1.5, 1.0)),
             charging: ChargingModel::PerTupleSum,
             access_decay_rate: 1.0,
             update_decay_rate: 1.0,
-            read_path: ReadPath::Snapshot,
             snapshot: SnapshotPolicy::default(),
-            shards: 16,
             shaping: DelayShaping::off(),
         }
     }
@@ -71,21 +61,9 @@ impl GuardConfig {
         self
     }
 
-    /// Replace the wall-clock read path.
-    pub fn with_read_path(mut self, read_path: ReadPath) -> GuardConfig {
-        self.read_path = read_path;
-        self
-    }
-
     /// Replace the snapshot staleness bounds.
     pub fn with_snapshot_policy(mut self, snapshot: SnapshotPolicy) -> GuardConfig {
         self.snapshot = snapshot;
-        self
-    }
-
-    /// Replace the guard shard count.
-    pub fn with_shards(mut self, shards: usize) -> GuardConfig {
-        self.shards = shards;
         self
     }
 
@@ -115,9 +93,6 @@ impl GuardConfig {
                     "access policy parameters must be non-negative".into(),
                 ));
             }
-        }
-        if self.shards == 0 {
-            return Err(GuardError::Config("shard count must be at least 1".into()));
         }
         if self.snapshot.max_pending_events == 0 {
             return Err(GuardError::Config(
@@ -179,22 +154,15 @@ mod tests {
     }
 
     #[test]
-    fn bad_concurrency_knobs_rejected() {
-        let mut c = GuardConfig::paper_default();
-        c.shards = 0;
-        assert!(c.validate().is_err());
+    fn bad_snapshot_knobs_rejected() {
         let mut c = GuardConfig::paper_default();
         c.snapshot.max_pending_events = 0;
         assert!(c.validate().is_err());
         let mut c = GuardConfig::paper_default();
         c.snapshot.max_age_secs = 0.0;
         assert!(c.validate().is_err());
-        let c = GuardConfig::paper_default()
-            .with_read_path(ReadPath::Locked)
-            .with_shards(1)
-            .with_snapshot_policy(SnapshotPolicy::new(64, 0.01));
+        let c = GuardConfig::paper_default().with_snapshot_policy(SnapshotPolicy::new(64, 0.01));
         assert!(c.validate().is_ok());
-        assert_eq!(c.read_path, ReadPath::Locked);
         assert_eq!(c.snapshot.max_pending_events, 64);
     }
 

@@ -8,40 +8,43 @@
 //!
 //! The computed delay is *returned*, not slept, so simulations can account
 //! years of adversary delay instantly. Deployments enforce it through
-//! [`GuardedDatabase::execute_with_deadline`], which converts the policy's
-//! per-tuple delays into [`Clock`]-relative nanosecond deadlines the
-//! caller (a server event loop, a timer wheel, ...) schedules however it
-//! likes;
-//! [`GuardedDatabase::execute_blocking`] is the trivial enforcement —
-//! sleep until the query deadline — kept for library callers.
+//! [`GuardedDatabase::execute_with_deadline`] or the streaming entry
+//! points, which convert the policy's per-tuple delays into
+//! [`Clock`]-relative nanosecond deadlines the caller (a server event
+//! loop, a timer wheel, ...) schedules however it likes.
+//!
+//! # One pricing pipeline
+//!
+//! Every statement runs through one opener: the engine streams a SELECT
+//! into a [`DeadlineStream`], which prices and records tuples chunk by
+//! chunk; the materialized entry points (`execute_at`,
+//! `execute_snapshot_at`, `execute_with_deadline`) drain that stream as a
+//! single chunk. The entry point fixes how tuples are priced:
+//!
+//! * **Exact** (`execute_at`, the virtual-time simulation entry point):
+//!   pending queued events are applied first, then each tuple is priced
+//!   against the live trackers under the table's shard lock *after* the
+//!   tuples before it in the same statement are recorded — sequential
+//!   semantics, so every experiment reproduces bit-for-bit.
+//! * **Snapshot** (every wall-clock entry point, and
+//!   `execute_snapshot_at`): tuples are priced from an immutable
+//!   [`PolicySnapshot`] behind an atomic-swap cell and accesses are
+//!   recorded into a lock-free [`ShardedEventQueue`] — concurrent
+//!   queries share no locks beyond the snapshot load.
 //!
 //! # Concurrency model
 //!
-//! Guard state is split into a **read-mostly snapshot path** and a
-//! **write-behind count path** so concurrent queries never contend on a
-//! global lock:
-//!
-//! * The authoritative per-table [`TableGuard`]s live in hash-sharded
-//!   mutexes ([`GuardConfig::shards`]); only the refresher and the exact
-//!   virtual-time path touch them.
-//! * The wall-clock path ([`ReadPath::Snapshot`], the default for
-//!   `execute_with_deadline`) prices every tuple from an immutable
-//!   [`PolicySnapshot`] behind an atomic-swap cell and records accesses
-//!   into a lock-free [`ShardedEventQueue`] — zero locked work beyond the
-//!   snapshot load.
-//! * A refresher — the server's background thread, or any query thread
-//!   that trips the [`SnapshotPolicy`] staleness bounds (then via a
-//!   non-blocking `try_lock`, so queries never wait) — drains the queue
-//!   into the trackers *in global sequence order* (preserving the decay
-//!   inflated-increment arithmetic exactly) and publishes a new snapshot.
-//!
-//! The virtual-time simulation path (`execute_at`) keeps exact
-//! sequential semantics: it applies pending events and then works under
-//! the table's shard lock, so every existing experiment reproduces
-//! bit-for-bit. After at most one refresh epoch the snapshot path's
-//! master state — and therefore its delays — converges to exactly what
-//! the sequential path would have produced for the same event sequence
-//! (asserted in `tests/snapshot_concurrency.rs`).
+//! The authoritative per-table guard state lives in hash-sharded
+//! mutexes; only the refresher and the exact path touch them. A
+//! refresher — the server's background thread, or any query thread that
+//! trips the [`SnapshotPolicy`](crate::SnapshotPolicy) staleness bounds
+//! (then via a non-blocking `try_lock`, so queries never wait) — drains
+//! the queue into the trackers *in global sequence order* (preserving the
+//! decay inflated-increment arithmetic exactly) and publishes a new
+//! snapshot. After at most one refresh epoch the snapshot path's master
+//! state — and therefore its delays — converges to exactly what the exact
+//! path would have produced for the same event sequence (asserted in
+//! `tests/snapshot_concurrency.rs`).
 
 use crate::access::PackedScalars;
 use crate::clock::{nanos_to_secs, secs_to_nanos, Clock, RealClock};
@@ -49,9 +52,7 @@ use crate::config::GuardConfig;
 use crate::error::Result;
 use crate::policy::{ChargingModel, GuardPolicy};
 use crate::replica::{tag_remote_key, ReplicaDelta, TableDelta};
-use crate::snapshot::{
-    empty_table_snapshot, PolicySnapshot, ReadPath, SnapshotStats, TableSnapshot,
-};
+use crate::snapshot::{empty_table_snapshot, PolicySnapshot, SnapshotStats, TableSnapshot};
 use arc_swap::ArcSwap;
 use delayguard_popularity::{DecaySchedule, FrequencyTracker, ShardedEventQueue};
 use delayguard_query::ast::Statement;
@@ -286,14 +287,15 @@ pub struct ChargedChunk {
     pub offsets: Vec<f64>,
 }
 
-/// Pricing state pinned when a [`DeadlineStream`] opens.
+/// Pricing state pinned when a [`DeadlineStream`] opens; the entry point
+/// that opened the stream picks the variant (see the module docs).
 ///
 /// The snapshot path pins the `Arc<TableSnapshot>` (and its window) once
-/// so a concurrent refresh cannot reprice a query mid-stream; the locked
+/// so a concurrent refresh cannot reprice a query mid-stream; the exact
 /// path re-enters the shard lock per chunk, which is exact because the
 /// epoch and `now` are fixed for the whole statement.
 enum StreamPricing {
-    Locked,
+    Exact,
     Snapshot {
         stats: Arc<TableSnapshot>,
         window: f64,
@@ -431,13 +433,14 @@ impl DeadlineStream<'_, '_> {
                     });
                 }
             }
-            StreamPricing::Locked => out.delays.extend(self.db.charge_chunk_locked(
+            StreamPricing::Exact => self.db.charge_chunk_exact(
                 &self.table,
-                rows.iter().map(|(rid, _)| *rid),
+                rows,
                 self.now_secs,
                 self.n,
                 nonce,
-            )),
+                &mut out.delays,
+            ),
         }
         out.offsets.reserve(out.delays.len());
         for &d in &out.delays {
@@ -472,6 +475,44 @@ impl DeadlineStream<'_, '_> {
         self.issued_at_nanos
             .saturating_add(secs_to_nanos(self.total_delay_secs))
     }
+
+    /// Pull the whole result, then price and record it as one chunk —
+    /// even an empty one, so an empty SELECT on the exact path still
+    /// starts the table's observation window.
+    fn drain(mut self) -> Result<DeadlineResponse> {
+        let mut rows = Vec::new();
+        while let Some(row) = self.cursor.next_row()? {
+            rows.push(row);
+        }
+        let charged = self.charge(&rows);
+        Ok(DeadlineResponse {
+            output: StatementOutput::Rows(SelectOutput {
+                columns: self.columns().to_vec(),
+                rows,
+            }),
+            tuple_delays: charged.delays,
+            tuple_offsets: charged.offsets,
+            delay_secs: self.total_delay_secs,
+            issued_at_nanos: self.issued_at_nanos,
+        })
+    }
+}
+
+impl StreamedQuery<'_, '_> {
+    /// The materialized response: a SELECT drained as one chunk, any
+    /// other statement as it finished.
+    fn drain(self) -> Result<DeadlineResponse> {
+        match self {
+            StreamedQuery::Rows(stream) => stream.drain(),
+            StreamedQuery::Finished(resp) => Ok(resp),
+        }
+    }
+}
+
+/// What the opener runs: an ad-hoc statement or a prepared SELECT.
+enum Source<'a> {
+    Statement(&'a Statement),
+    Prepared(&'a mut PreparedQuery, &'a mut ExecScratch),
 }
 
 /// Release offsets for each tuple under a charging model (see
@@ -492,6 +533,10 @@ fn release_offsets(charging: ChargingModel, delays: &[f64]) -> Vec<f64> {
         ChargingModel::PerQueryMax => delays.to_vec(),
     }
 }
+
+/// Shards of the per-table guard state and of the record queue (a power
+/// of two).
+const SHARDS: usize = 16;
 
 /// A database whose front door is defended by delay.
 pub struct GuardedDatabase {
@@ -549,14 +594,13 @@ impl GuardedDatabase {
         config: GuardConfig,
         clock: Arc<dyn Clock>,
     ) -> GuardedDatabase {
-        let shard_count = config.shards.max(1).next_power_of_two();
-        let shards = (0..shard_count)
+        let shards = (0..SHARDS)
             .map(|_| Mutex::new(HashMap::new()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         GuardedDatabase {
             engine,
-            queue: ShardedEventQueue::new(shard_count),
+            queue: ShardedEventQueue::new(SHARDS),
             snapshot: ArcSwap::from_pointee(PolicySnapshot::empty()),
             refresh_lock: Mutex::new(()),
             mutations: AtomicU64::new(0),
@@ -613,131 +657,43 @@ impl GuardedDatabase {
 
     // ---- execution entry points -----------------------------------------
 
-    /// Execute at an explicit virtual time (simulation entry point).
-    /// Always uses the exact locked path, so simulations are sequential
-    /// and deterministic regardless of [`GuardConfig::read_path`].
+    /// Execute at an explicit virtual time (simulation entry point) on
+    /// the exact path: each tuple of a multi-row SELECT is priced after
+    /// the tuples before it are recorded, so simulations are sequential
+    /// and deterministic.
     pub fn execute_at(&self, sql: &str, now_secs: f64) -> Result<GuardedResponse> {
-        let stmt = parse(sql)?;
-        self.execute_stmt_at(&stmt, now_secs)
-    }
-
-    /// Execute a pre-parsed statement at a virtual time (exact path).
-    pub fn execute_stmt_at(&self, stmt: &Statement, now_secs: f64) -> Result<GuardedResponse> {
-        let (output, tuple_delays) =
-            self.execute_stmt_detailed(stmt, now_secs, ReadPath::Locked)?;
-        let delay_secs = self.config.charging.combine(tuple_delays.iter().copied());
-        Ok(GuardedResponse {
-            output,
-            delay_secs,
-            tuples_charged: tuple_delays.len(),
-        })
+        self.execute_virtual(sql, now_secs, true)
     }
 
     /// Execute at an explicit virtual time over the snapshot read path
     /// (benches and staleness tests; servers use
     /// [`Self::execute_with_deadline`]).
     pub fn execute_snapshot_at(&self, sql: &str, now_secs: f64) -> Result<GuardedResponse> {
+        self.execute_virtual(sql, now_secs, false)
+    }
+
+    fn execute_virtual(&self, sql: &str, now_secs: f64, exact: bool) -> Result<GuardedResponse> {
         let stmt = parse(sql)?;
-        let (output, tuple_delays) =
-            self.execute_stmt_detailed(&stmt, now_secs, ReadPath::Snapshot)?;
-        self.maybe_refresh();
-        let delay_secs = self.config.charging.combine(tuple_delays.iter().copied());
-        Ok(GuardedResponse {
-            output,
-            delay_secs,
-            tuples_charged: tuple_delays.len(),
-        })
-    }
-
-    /// Execute, recording accesses and computing the per-tuple delays the
-    /// policy charges, without sleeping or combining.
-    fn execute_stmt_detailed(
-        &self,
-        stmt: &Statement,
-        now_secs: f64,
-        path: ReadPath,
-    ) -> Result<(StatementOutput, Vec<f64>)> {
-        let output = self.engine.execute_stmt(stmt)?;
-        let table = statement_table(stmt);
-        let nonce = self.next_shaping_nonce();
-        let tuple_delays = match (&output, table) {
-            (StatementOutput::Rows(rows), Some(table)) => match path {
-                ReadPath::Locked => {
-                    self.charge_select_locked(table, rows.row_ids(), now_secs, nonce)?
-                }
-                ReadPath::Snapshot => {
-                    self.charge_select_snapshot(table, rows.row_ids(), now_secs, nonce)?
-                }
-            },
-            (StatementOutput::Updated { rids }, Some(table)) => {
-                self.note_rows(table, rids, now_secs, path, RowNote::Update);
-                Vec::new()
-            }
-            (StatementOutput::Inserted { rids }, Some(table)) => {
-                self.note_rows(table, rids, now_secs, path, RowNote::Insert);
-                Vec::new()
-            }
-            // A delete changes the tuple's value (to "gone") — for the §3
-            // staleness guarantee it is an update event like any other.
-            (StatementOutput::Deleted { rids }, Some(table)) => {
-                self.note_rows(table, rids, now_secs, path, RowNote::Update);
-                Vec::new()
-            }
-            _ => Vec::new(),
-        };
-        Ok((output, tuple_delays))
-    }
-
-    /// Execute using wall-clock time since the guard was created (exact
-    /// locked path, like every virtual-time entry point).
-    pub fn execute(&self, sql: &str) -> Result<GuardedResponse> {
-        self.execute_at(sql, self.now_secs())
+        let source = Source::Statement(&stmt);
+        let resp = self.open(source, exact, now_secs, secs_to_nanos(now_secs), |q| {
+            q.drain()
+        })??;
+        Ok(resp.into_response())
     }
 
     /// Execute at wall-clock time and return enforcement deadlines instead
-    /// of sleeping: the single shared path for servers (which schedule the
-    /// deadlines on a timer wheel) and for [`Self::execute_blocking`].
-    /// Routed through [`GuardConfig::read_path`] — by default the
-    /// lock-free snapshot path.
+    /// of sleeping (servers schedule them on a timer wheel). Priced from
+    /// the snapshot, like every wall-clock entry point.
     pub fn execute_with_deadline(&self, sql: &str) -> Result<DeadlineResponse> {
         let stmt = parse(sql)?;
         self.execute_stmt_with_deadline(&stmt)
     }
 
-    /// [`Self::execute_with_deadline`] over a pre-parsed statement.
-    ///
-    /// Implemented as a single-chunk drain of the streaming pipeline, so
-    /// the materialized and streaming paths cannot diverge: identical
-    /// rows, identical delays, identical offsets, one access event.
+    /// [`Self::execute_with_deadline`] over a pre-parsed statement: a
+    /// single-chunk drain of the streaming pipeline, so the materialized
+    /// and streaming paths cannot diverge.
     pub fn execute_stmt_with_deadline(&self, stmt: &Statement) -> Result<DeadlineResponse> {
-        self.execute_stmt_streaming(stmt, |query| match query {
-            StreamedQuery::Rows(mut stream) => {
-                let columns = stream.columns().to_vec();
-                let mut rows = Vec::new();
-                let mut tuple_delays = Vec::new();
-                let mut tuple_offsets = Vec::new();
-                loop {
-                    match stream.next_chunk(usize::MAX) {
-                        Ok(Some(chunk)) => {
-                            let charged = stream.charge(&chunk);
-                            tuple_delays.extend(charged.delays);
-                            tuple_offsets.extend(charged.offsets);
-                            rows.extend(chunk);
-                        }
-                        Ok(None) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(DeadlineResponse {
-                    output: StatementOutput::Rows(SelectOutput { columns, rows }),
-                    tuple_delays,
-                    tuple_offsets,
-                    delay_secs: stream.delay_secs(),
-                    issued_at_nanos: stream.issued_at_nanos(),
-                })
-            }
-            StreamedQuery::Finished(resp) => Ok(resp),
-        })?
+        self.execute_stmt_streaming(stmt, |q| q.drain())?
     }
 
     /// Parse and execute one statement in streaming mode. See
@@ -751,19 +707,18 @@ impl GuardedDatabase {
         self.execute_stmt_streaming(&stmt, f)
     }
 
-    /// Execute a statement in streaming mode: a SELECT is handed to `f`
-    /// as an open [`DeadlineStream`] that prices tuples chunk by chunk as
-    /// they are pulled from the executor, instead of materializing and
-    /// pricing the whole result up front.
+    /// Execute a statement in streaming mode at wall-clock time: a
+    /// SELECT is handed to `f` as an open [`DeadlineStream`] that prices
+    /// tuples chunk by chunk as they are pulled from the executor,
+    /// instead of materializing and pricing the whole result up front.
     ///
     /// Pricing state (table cardinality, the policy snapshot and its
-    /// window on the default read path) is pinned when the stream opens,
-    /// so a query's delays are independent of how it is chunked; a stream
-    /// dropped mid-result charges — and records in the popularity
-    /// trackers — exactly the tuples that were passed to
-    /// [`DeadlineStream::charge`], nothing more. The underlying table
-    /// lock is held for the duration of `f`, as it is for a materialized
-    /// execution, so `f` must not call back into this database.
+    /// window) is pinned when the stream opens, so a query's delays are
+    /// independent of how it is chunked; a stream dropped mid-result
+    /// charges — and records in the popularity trackers — exactly the
+    /// tuples that were passed to [`DeadlineStream::charge`], nothing
+    /// more. The underlying table lock is held for the duration of `f`,
+    /// so `f` must not call back into this database.
     pub fn execute_stmt_streaming<R>(
         &self,
         stmt: &Statement,
@@ -773,101 +728,7 @@ impl GuardedDatabase {
         // (popularity timestamp) must agree or simulated replays drift.
         let issued_at_nanos = self.clock.now_nanos();
         let now_secs = nanos_to_secs(issued_at_nanos);
-        let path = self.config.read_path;
-        let nonce = self.next_shaping_nonce();
-        let table = statement_table(stmt).map(str::to_owned);
-        let result = self
-            .engine
-            .execute_stmt_streaming(stmt, |streamed| match streamed {
-                StreamedStatement::Rows(cursor) => {
-                    let table: Arc<str> = Arc::from(table.clone().unwrap_or_default());
-                    // The policy's `n` comes from the cursor, not
-                    // `Self::table_len`: the engine already holds the table's
-                    // write lock, so re-reading the catalog here would
-                    // self-deadlock. A SELECT never changes cardinality, so
-                    // the open-time capture equals the materialized value.
-                    // On the snapshot path, peers' replicated row counts
-                    // are added so `n` is the global table size.
-                    let mut n = cursor.table_rows();
-                    let pricing = self.open_pricing(path, &table, now_secs, &mut n);
-                    f(StreamedQuery::Rows(DeadlineStream {
-                        db: self,
-                        cursor,
-                        table,
-                        n,
-                        now_secs,
-                        issued_at_nanos,
-                        pricing,
-                        nonce,
-                        total_delay_secs: 0.0,
-                        tuples_charged: 0,
-                    }))
-                }
-                StreamedStatement::Finished(out) => {
-                    let output = std::mem::replace(out, StatementOutput::TableCreated);
-                    match (&output, table.as_deref()) {
-                        (StatementOutput::Updated { rids }, Some(t)) => {
-                            self.note_rows(t, rids, now_secs, path, RowNote::Update)
-                        }
-                        (StatementOutput::Inserted { rids }, Some(t)) => {
-                            self.note_rows(t, rids, now_secs, path, RowNote::Insert)
-                        }
-                        // Deletes are update events for §3 staleness.
-                        (StatementOutput::Deleted { rids }, Some(t)) => {
-                            self.note_rows(t, rids, now_secs, path, RowNote::Update)
-                        }
-                        _ => {}
-                    }
-                    f(StreamedQuery::Finished(DeadlineResponse {
-                        output,
-                        tuple_delays: Vec::new(),
-                        tuple_offsets: Vec::new(),
-                        delay_secs: 0.0,
-                        issued_at_nanos,
-                    }))
-                }
-            })?;
-        if path == ReadPath::Snapshot {
-            self.maybe_refresh();
-        }
-        Ok(result)
-    }
-
-    /// Pin a stream's pricing state at open: on the snapshot path, the
-    /// table's frozen statistics plus — when the snapshot carries a
-    /// packed access table built for the active policy — the relation
-    /// scalars of the allocation-free fast path. Grows `n` by peers'
-    /// replicated rows so Eq. 1 sees the global table size.
-    fn open_pricing(
-        &self,
-        path: ReadPath,
-        table: &str,
-        now_secs: f64,
-        n: &mut u64,
-    ) -> StreamPricing {
-        match path {
-            ReadPath::Locked => StreamPricing::Locked,
-            ReadPath::Snapshot => {
-                let snap = self.snapshot.load_full();
-                let stats = match snap.table(table) {
-                    Some(t) => Arc::clone(t),
-                    None => empty_table_snapshot(),
-                };
-                let window = stats.window(now_secs);
-                *n += stats.extra_rows;
-                let fast = match (&self.config.policy, &stats.packed_access) {
-                    (GuardPolicy::AccessRate(p), Some(packed)) if packed.matches(p) => {
-                        Some(packed.scalars(*n))
-                    }
-                    _ => None,
-                };
-                StreamPricing::Snapshot {
-                    stats,
-                    window,
-                    fast,
-                }
-            }
-        }
+        self.open(Source::Statement(stmt), false, now_secs, issued_at_nanos, f)
     }
 
     /// Prepare a SELECT for repeated guarded execution: parsed, planned,
@@ -896,73 +757,145 @@ impl GuardedDatabase {
         // One clock read, exactly like the ad-hoc path.
         let issued_at_nanos = self.clock.now_nanos();
         let now_secs = nanos_to_secs(issued_at_nanos);
-        let path = self.config.read_path;
+        let source = Source::Prepared(prep, scratch);
+        self.open(
+            source,
+            false,
+            now_secs,
+            issued_at_nanos,
+            |query| match query {
+                StreamedQuery::Rows(stream) => f(stream),
+                StreamedQuery::Finished(_) => {
+                    unreachable!("prepared statements are always SELECTs")
+                }
+            },
+        )
+    }
+
+    /// The one opener behind every entry point: draws the shaping nonce,
+    /// runs `source` through the engine, hands `f` either an open
+    /// [`DeadlineStream`] (a SELECT, priced exactly or from a pinned
+    /// snapshot as `exact` says) or the finished non-SELECT response with
+    /// its rows noted, and on the snapshot path refreshes a stale
+    /// snapshot afterwards.
+    fn open<R>(
+        &self,
+        source: Source<'_>,
+        exact: bool,
+        now_secs: f64,
+        issued_at_nanos: u64,
+        f: impl FnOnce(StreamedQuery<'_, '_>) -> R,
+    ) -> Result<R> {
         let nonce = self.next_shaping_nonce();
-        let table = Arc::clone(&prep.table);
-        let result =
-            self.engine
-                .execute_prepared_streaming(&mut prep.inner, scratch, |streamed| {
-                    let StreamedStatement::Rows(cursor) = streamed else {
-                        unreachable!("prepared statements are always SELECTs");
-                    };
-                    let mut n = cursor.table_rows();
-                    let pricing = self.open_pricing(path, &table, now_secs, &mut n);
-                    f(DeadlineStream {
-                        db: self,
-                        cursor,
-                        table,
-                        n,
-                        now_secs,
-                        issued_at_nanos,
-                        pricing,
-                        nonce,
-                        total_delay_secs: 0.0,
-                        tuples_charged: 0,
-                    })
-                })?;
-        if path == ReadPath::Snapshot {
+        let table = match &source {
+            Source::Statement(stmt) => Arc::from(statement_table(stmt)),
+            Source::Prepared(prep, _) => Arc::clone(&prep.table),
+        };
+        let body = |streamed: &mut StreamedStatement<'_>| match streamed {
+            StreamedStatement::Rows(cursor) => {
+                // The policy's `n` comes from the cursor, not
+                // `Self::table_len`: the engine already holds the table's
+                // write lock, so re-reading the catalog here would
+                // self-deadlock. A SELECT never changes cardinality, so
+                // the open-time capture is the statement's cardinality.
+                let mut n = cursor.table_rows();
+                let pricing = if exact {
+                    StreamPricing::Exact
+                } else {
+                    self.pin_snapshot(&table, now_secs, &mut n)
+                };
+                f(StreamedQuery::Rows(DeadlineStream {
+                    db: self,
+                    cursor,
+                    table,
+                    n,
+                    now_secs,
+                    issued_at_nanos,
+                    pricing,
+                    nonce,
+                    total_delay_secs: 0.0,
+                    tuples_charged: 0,
+                }))
+            }
+            StreamedStatement::Finished(out) => {
+                let output = std::mem::replace(out, StatementOutput::TableCreated);
+                match &output {
+                    // A delete changes the tuple's value (to "gone") — for
+                    // the §3 staleness guarantee it is an update event like
+                    // any other.
+                    StatementOutput::Updated { rids } | StatementOutput::Deleted { rids } => {
+                        self.note_rows(&table, rids, now_secs, exact, RowNote::Update)
+                    }
+                    StatementOutput::Inserted { rids } => {
+                        self.note_rows(&table, rids, now_secs, exact, RowNote::Insert)
+                    }
+                    _ => {}
+                }
+                f(StreamedQuery::Finished(DeadlineResponse {
+                    output,
+                    tuple_delays: Vec::new(),
+                    tuple_offsets: Vec::new(),
+                    delay_secs: 0.0,
+                    issued_at_nanos,
+                }))
+            }
+        };
+        let result = match source {
+            Source::Statement(stmt) => self.engine.execute_stmt_streaming(stmt, body),
+            Source::Prepared(prep, scratch) => {
+                self.engine
+                    .execute_prepared_streaming(&mut prep.inner, scratch, body)
+            }
+        }?;
+        if !exact {
             self.maybe_refresh();
         }
         Ok(result)
     }
 
-    /// Execute and actually sleep until the deadline (library deployment
-    /// mode): a thin wrapper over [`Self::execute_with_deadline`].
-    pub fn execute_blocking(&self, sql: &str) -> Result<GuardedResponse> {
-        let resp = self.execute_with_deadline(sql)?;
-        self.clock.sleep_until_nanos(resp.deadline_nanos());
-        Ok(resp.into_response())
+    /// Pin a snapshot-priced stream's state at open: the table's frozen
+    /// statistics plus — when the snapshot carries a packed access table
+    /// built for the active policy — the relation scalars of the
+    /// allocation-free fast path. Grows `n` by peers' replicated rows so
+    /// Eq. 1 sees the global table size.
+    fn pin_snapshot(&self, table: &str, now_secs: f64, n: &mut u64) -> StreamPricing {
+        let snap = self.snapshot.load_full();
+        let stats = match snap.table(table) {
+            Some(t) => Arc::clone(t),
+            None => empty_table_snapshot(),
+        };
+        let window = stats.window(now_secs);
+        *n += stats.extra_rows;
+        let fast = match (&self.config.policy, &stats.packed_access) {
+            (GuardPolicy::AccessRate(p), Some(packed)) if packed.matches(p) => {
+                Some(packed.scalars(*n))
+            }
+            _ => None,
+        };
+        StreamPricing::Snapshot {
+            stats,
+            window,
+            fast,
+        }
     }
 
-    // ---- exact (locked) path --------------------------------------------
+    // ---- exact path ------------------------------------------------------
 
-    /// Compute the per-tuple delays for a set of returned tuples, then
-    /// record their accesses — exact sequential semantics under the
-    /// table's shard lock.
-    fn charge_select_locked(
+    /// Exact-path pricing for one chunk of returned tuples, appended to
+    /// `out`, with the table cardinality supplied by the opener. Each
+    /// tuple is priced from its popularity *before* its own access and
+    /// after the accesses of the tuples ahead of it. `now` and the guard
+    /// epoch are fixed per statement, so chunked calls are bit-identical
+    /// to one whole-result call.
+    fn charge_chunk_exact(
         &self,
         table: &str,
-        rids: impl Iterator<Item = RowId>,
-        now: f64,
-        nonce: u64,
-    ) -> Result<Vec<f64>> {
-        let n = self.table_len(table)?;
-        Ok(self.charge_chunk_locked(table, rids, now, n, nonce))
-    }
-
-    /// Exact-path pricing for one chunk of returned tuples, with the
-    /// table cardinality supplied by the caller (the streaming path reads
-    /// it off the open cursor because the engine still holds the table
-    /// lock). `now` and the guard epoch are fixed per statement, so
-    /// chunked calls are bit-identical to one whole-result call.
-    fn charge_chunk_locked(
-        &self,
-        table: &str,
-        rids: impl Iterator<Item = RowId>,
+        rows: &[(RowId, Row)],
         now: f64,
         n: u64,
         nonce: u64,
-    ) -> Vec<f64> {
+        out: &mut Vec<f64>,
+    ) {
         // Events queued by snapshot-path traffic precede this statement;
         // fold them in first so the trackers are exact.
         self.apply_pending();
@@ -972,99 +905,55 @@ impl GuardedDatabase {
             .or_insert_with(|| TableGuard::new(&self.config));
         guard.epoch.get_or_insert(now);
         let window = guard.window(now);
-        let mut delays = Vec::new();
-        for rid in rids {
+        for (rid, _) in rows {
             let key = rid.raw();
-            // Delay reflects popularity *before* this access.
             let d = self
                 .config
                 .policy
                 .tuple_delay(&guard.access, &guard.updates, n, key, window);
-            delays.push(self.config.shaping.shape(d, nonce, key));
+            out.push(self.config.shaping.shape(d, nonce, key));
             guard.access.record(key);
         }
-        if !delays.is_empty() {
+        if !rows.is_empty() {
             guard.dirty = true;
             self.mutations
-                .fetch_add(delays.len() as u64, Ordering::Release);
+                .fetch_add(rows.len() as u64, Ordering::Release);
         }
-        delays
     }
 
-    /// Record updates/inserts on either path.
-    fn note_rows(&self, table: &str, rids: &[RowId], now: f64, path: ReadPath, note: RowNote) {
+    /// Record updates/inserts: directly under the shard lock on the exact
+    /// path, through the record queue on the snapshot path.
+    fn note_rows(&self, table: &Arc<str>, rids: &[RowId], now: f64, exact: bool, note: RowNote) {
         if rids.is_empty() {
             return;
         }
-        match path {
-            ReadPath::Locked => {
-                self.apply_pending();
-                let mut guards = self.shard(table).lock();
-                let guard = guards
-                    .entry(table.to_owned())
-                    .or_insert_with(|| TableGuard::new(&self.config));
-                guard.epoch.get_or_insert(now);
-                for rid in rids {
-                    match note {
-                        RowNote::Update => guard.updates.record(rid.raw()),
-                        RowNote::Insert => guard.access.ensure_tracked(rid.raw()),
-                    }
+        if exact {
+            self.apply_pending();
+            let mut guards = self.shard(table).lock();
+            let guard = guards
+                .entry(table.as_ref().to_owned())
+                .or_insert_with(|| TableGuard::new(&self.config));
+            guard.epoch.get_or_insert(now);
+            for rid in rids {
+                match note {
+                    RowNote::Update => guard.updates.record(rid.raw()),
+                    RowNote::Insert => guard.access.ensure_tracked(rid.raw()),
                 }
-                guard.dirty = true;
-                self.mutations
-                    .fetch_add(rids.len() as u64, Ordering::Release);
             }
-            ReadPath::Snapshot => {
-                let keys: Vec<u64> = rids.iter().map(|r| r.raw()).collect();
-                self.queue.push(AccessEvent {
-                    table: Arc::from(table),
-                    now_secs: now,
-                    kind: match note {
-                        RowNote::Update => EventKind::Update(keys),
-                        RowNote::Insert => EventKind::Insert(keys),
-                    },
-                });
-            }
-        }
-    }
-
-    // ---- snapshot (lock-free) path --------------------------------------
-
-    /// Price a result set from the immutable snapshot and queue the
-    /// access record — no locks taken.
-    fn charge_select_snapshot(
-        &self,
-        table: &str,
-        rids: impl Iterator<Item = RowId>,
-        now: f64,
-        nonce: u64,
-    ) -> Result<Vec<f64>> {
-        let snap = self.snapshot.load_full();
-        let stats: Arc<TableSnapshot> = match snap.table(table) {
-            Some(t) => Arc::clone(t),
-            None => empty_table_snapshot(),
-        };
-        let n = self.table_len(table)? + stats.extra_rows;
-        let window = stats.window(now);
-        let mut delays = Vec::new();
-        let mut keys = Vec::new();
-        for rid in rids {
-            let key = rid.raw();
-            let d = self
-                .config
-                .policy
-                .tuple_delay(&stats.access, &stats.updates, n, key, window);
-            delays.push(self.config.shaping.shape(d, nonce, key));
-            keys.push(key);
-        }
-        if !keys.is_empty() {
+            guard.dirty = true;
+            self.mutations
+                .fetch_add(rids.len() as u64, Ordering::Release);
+        } else {
+            let keys: Vec<u64> = rids.iter().map(|r| r.raw()).collect();
             self.queue.push(AccessEvent {
-                table: Arc::from(table),
+                table: Arc::clone(table),
                 now_secs: now,
-                kind: EventKind::Select(keys),
+                kind: match note {
+                    RowNote::Update => EventKind::Update(keys),
+                    RowNote::Insert => EventKind::Insert(keys),
+                },
             });
         }
-        Ok(delays)
     }
 
     // ---- refresh machinery ----------------------------------------------
@@ -1482,15 +1371,15 @@ enum RowNote {
     Insert,
 }
 
-/// The table a statement touches, if any.
-fn statement_table(stmt: &Statement) -> Option<&str> {
+/// The table a statement touches.
+fn statement_table(stmt: &Statement) -> &str {
     match stmt {
         Statement::Select { table, .. }
         | Statement::Insert { table, .. }
         | Statement::Update { table, .. }
         | Statement::Delete { table, .. }
-        | Statement::CreateIndex { table, .. } => Some(table),
-        Statement::CreateTable { name, .. } | Statement::DropTable { name } => Some(name),
+        | Statement::CreateIndex { table, .. } => table,
+        Statement::CreateTable { name, .. } | Statement::DropTable { name } => name,
     }
 }
 
@@ -1631,6 +1520,30 @@ mod tests {
     }
 
     #[test]
+    fn empty_results_are_charged_positive_zero() {
+        // The charging fold starts at +0.0; an empty sum would be -0.0,
+        // which prints as "-0" and hashes differently from a free query.
+        for charging in [ChargingModel::PerTupleSum, ChargingModel::PerQueryMax] {
+            let db = GuardedDatabase::new(GuardConfig {
+                policy: access_policy(),
+                charging,
+                ..GuardConfig::paper_default()
+            });
+            db.execute_at("CREATE TABLE t (id INT)", 0.0).unwrap();
+            for sql in [
+                "SELECT * FROM t",
+                "INSERT INTO t VALUES (1)",
+                "SELECT * FROM t WHERE id = 2",
+                "UPDATE t SET id = 3 WHERE id = 9",
+            ] {
+                let r = db.execute_at(sql, 1.0).unwrap();
+                assert_eq!(r.tuples_charged, 0, "{sql}");
+                assert_eq!(r.delay_secs.to_bits(), 0, "{charging:?}: {sql}");
+            }
+        }
+    }
+
+    #[test]
     fn non_row_statements_are_free() {
         let db = setup(access_policy());
         let r = db
@@ -1688,20 +1601,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_wrapper_matches_deadline_path() {
-        // Zero-delay policy: the wrapper must not sleep and must agree
-        // with the non-blocking result shape.
-        let db = setup(GuardPolicy::None);
-        let start = db.now_secs();
-        let r = db
-            .execute_blocking("SELECT * FROM items WHERE id = 1")
-            .unwrap();
-        assert!(db.now_secs() - start < 1.0);
-        assert_eq!(r.delay_secs, 0.0);
-        assert_eq!(r.tuples_charged, 1);
-    }
-
-    #[test]
     fn deadline_path_reads_injected_clock() {
         use crate::clock::ManualClock;
         use delayguard_query::Engine;
@@ -1725,10 +1624,6 @@ mod tests {
         assert_eq!(r.issued_at_nanos, secs_to_nanos(42.0));
         assert_eq!(r.delay_secs, 10.0, "cold tuple pays the cap");
         assert_eq!(r.deadline_nanos(), secs_to_nanos(52.0));
-        // The blocking wrapper "sleeps" by jumping the manual clock.
-        let r2 = db.execute_blocking("SELECT * FROM t").unwrap();
-        assert!(db.now_secs() >= 42.0 + r2.delay_secs);
-        assert!(r2.delay_secs > 0.0);
     }
 
     #[test]
@@ -2009,7 +1904,6 @@ mod tests {
             charging: ChargingModel::PerTupleSum,
             access_decay_rate: 1.0,
             update_decay_rate: 1.0,
-            read_path: ReadPath::Snapshot,
             // The test drives every rebuild itself so both executions are
             // guaranteed to price from the same snapshot generation.
             snapshot: SnapshotPolicy::new(usize::MAX, 1e9),

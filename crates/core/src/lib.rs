@@ -17,8 +17,8 @@
 //! * [`gatekeeper`] — §2.4 defenses: registration throttling, per-user
 //!   and per-subnet token buckets, storefront flagging.
 //! * [`guarded`] — [`GuardedDatabase`]: the engine wrapper that learns
-//!   popularity, charges delays per returned tuple, and (optionally)
-//!   sleeps.
+//!   popularity and charges delays per returned tuple, returning them as
+//!   totals or enforcement deadlines.
 //! * [`snapshot`] — the immutable [`snapshot::PolicySnapshot`] read view
 //!   and bounded-staleness knobs behind the guard's lock-free query path.
 //!
@@ -60,5 +60,5 @@ pub use guarded::{
 pub use policy::{ChargingModel, GuardPolicy};
 pub use replica::{tag_remote_key, ReplicaDelta, TableDelta};
 pub use shaping::DelayShaping;
-pub use snapshot::{PolicySnapshot, ReadPath, SnapshotPolicy, SnapshotStats, TableSnapshot};
+pub use snapshot::{PolicySnapshot, SnapshotPolicy, SnapshotStats, TableSnapshot};
 pub use update::UpdateDelayPolicy;

@@ -304,7 +304,7 @@ fn delay_never_exceeds_cap_nor_negative() {
 fn streaming_execution_matches_materialized() {
     use delayguard::core::clock::ManualClock;
     use delayguard::core::{
-        ChargingModel, DeadlineResponse, GuardConfig, GuardedDatabase, ReadPath, SnapshotPolicy,
+        ChargingModel, DeadlineResponse, GuardConfig, GuardedDatabase, SnapshotPolicy,
         StreamedQuery,
     };
     use delayguard::query::StatementOutput;
@@ -391,14 +391,8 @@ fn streaming_execution_matches_materialized() {
         } else {
             ChargingModel::PerQueryMax
         };
-        let read_path = if rng.chance(0.5) {
-            ReadPath::Snapshot
-        } else {
-            ReadPath::Locked
-        };
         let config = GuardConfig::paper_default()
             .with_charging(charging)
-            .with_read_path(read_path)
             // Refresh after every statement so the chunked path (one
             // recorded event per chunk) and the one-shot path (one event
             // per statement) apply their mutations at the same points.
