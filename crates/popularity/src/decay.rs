@@ -110,57 +110,6 @@ impl DecaySchedule {
     }
 }
 
-/// Track counts under several decay rates simultaneously (§2.3: "one can
-/// simultaneously track counts with more than one decay term, switching to
-/// the appropriate set as the request pattern warrants").
-#[derive(Debug, Clone)]
-pub struct MultiDecay {
-    schedules: Vec<DecaySchedule>,
-    active: usize,
-}
-
-impl MultiDecay {
-    /// Build from a set of candidate rates; the first is active initially.
-    ///
-    /// # Panics
-    /// If `rates` is empty.
-    pub fn new(rates: &[f64]) -> MultiDecay {
-        assert!(!rates.is_empty(), "need at least one decay rate");
-        MultiDecay {
-            schedules: rates.iter().map(|&r| DecaySchedule::new(r)).collect(),
-            active: 0,
-        }
-    }
-
-    /// All schedules (indexable by rate position).
-    pub fn schedules(&self) -> &[DecaySchedule] {
-        &self.schedules
-    }
-
-    /// Mutable access for ticking all schedules together.
-    pub fn tick_all(&mut self) {
-        for s in &mut self.schedules {
-            s.tick();
-        }
-    }
-
-    /// The currently active schedule.
-    pub fn active(&self) -> &DecaySchedule {
-        &self.schedules[self.active]
-    }
-
-    /// Index of the active schedule.
-    pub fn active_index(&self) -> usize {
-        self.active
-    }
-
-    /// Switch the active set (e.g. when the workload's drift rate changes).
-    pub fn switch_to(&mut self, index: usize) {
-        assert!(index < self.schedules.len());
-        self.active = index;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,24 +171,5 @@ mod tests {
     #[should_panic]
     fn sub_one_rate_rejected() {
         DecaySchedule::new(0.5);
-    }
-
-    #[test]
-    fn multi_decay_switching() {
-        let mut m = MultiDecay::new(&[1.0, 1.01, 2.0]);
-        assert_eq!(m.active_index(), 0);
-        for _ in 0..10 {
-            m.tick_all();
-        }
-        assert_eq!(m.schedules()[0].weight(), 1.0);
-        assert!(m.schedules()[2].weight() > 1000.0);
-        m.switch_to(2);
-        assert_eq!(m.active().rate(), 2.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn multi_decay_needs_rates() {
-        MultiDecay::new(&[]);
     }
 }

@@ -3,7 +3,7 @@
 //! Frequency statistics for the delay defense (paper §2.3 and §4.4):
 //!
 //! * [`decay`] — exponential decay by inflated increments, with periodic
-//!   rescaling; multi-rate tracking for non-stationary workloads.
+//!   rescaling.
 //! * [`tracker`] — per-key decayed counts, normalized frequencies, `f_max`,
 //!   and popularity ranks.
 //! * [`rank`] — log-bucketed order statistics over a Fenwick tree
@@ -39,7 +39,6 @@
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod adaptive;
 pub mod decay;
 pub mod fenwick;
 pub mod rank;
@@ -51,8 +50,7 @@ pub mod topk;
 pub mod tracker;
 pub mod writebehind;
 
-pub use adaptive::AdaptiveTracker;
-pub use decay::{DecaySchedule, MultiDecay};
+pub use decay::DecaySchedule;
 pub use fenwick::Fenwick;
 pub use rank::RankIndex;
 pub use shardqueue::ShardedEventQueue;

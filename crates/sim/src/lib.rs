@@ -1,8 +1,9 @@
 //! # delayguard-sim
 //!
-//! Virtual-clock simulation of the paper's evaluation (§4):
+//! Virtual-time simulation of the paper's evaluation (§4). Time is a plain
+//! `f64` of seconds passed to each model, so delays are accounted, not
+//! slept:
 //!
-//! * [`clock`] / [`events`] — virtual time and a discrete-event queue.
 //! * [`metrics`] — online mean/stdev (Welford) and exact quantiles; the
 //!   paper reports *medians* for users and totals for adversaries.
 //! * [`replay`] — replay a workload trace through the learn→rank→delay
@@ -20,26 +21,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod clock;
-pub mod events;
 pub mod extraction;
 pub mod guardstats;
 pub mod metrics;
-pub mod mixed;
 pub mod overhead;
 pub mod registry;
 pub mod replay;
 pub mod report;
 pub mod staleness;
 
-pub use clock::{units, VirtualClock};
-pub use events::EventQueue;
 pub use extraction::{
     extract_access_based, extract_update_based, uniform_user_median_delay, ExtractionReport,
 };
 pub use guardstats::GuardStatsPublisher;
 pub use metrics::{median_of, OnlineStats, Quantiles};
-pub use mixed::{run_mixed, MixedConfig, MixedReport};
 pub use overhead::{measure_overhead, OverheadConfig, OverheadReport};
 pub use registry::{Counter, Gauge, MetricValue, Registry};
 pub use replay::{replay, replay_keys, DecayMode, ReplayConfig, ReplayResult};
