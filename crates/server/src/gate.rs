@@ -520,53 +520,12 @@ impl FrontDoor {
         session: &SessionState,
         sink: &Arc<S>,
     ) {
-        let retry = self.config.retry_after_secs;
         // Entered before the draining check; shutdown waits for this count
         // to reach zero before draining the wheel, so every delay we
         // schedule below is delivered.
         self.inflight_queries.fetch_add(1, Ordering::SeqCst);
         let _guard = InflightGuard(self);
-        if self.draining() {
-            self.metrics.refused_shutdown.inc();
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: RefuseReason::ShuttingDown,
-                retry_after_secs: retry,
-            });
-            return;
-        }
-        let now = self.now_secs();
-        let admission = {
-            let mut gk = self.gatekeeper.lock();
-            match gk.admit(UserId(user), now) {
-                Admission::Granted => None,
-                Admission::Refused(reason) => {
-                    // Rate refusals carry the gatekeeper's exact refill
-                    // time; a client that waits precisely this long is
-                    // admitted, one that retries earlier is refused again.
-                    let hint = match reason {
-                        RefusalReason::UserRateExceeded | RefusalReason::SubnetRateExceeded => gk
-                            .retry_at(UserId(user), now)
-                            .map(|at| (at - now).max(0.0))
-                            .unwrap_or(retry),
-                        RefusalReason::Unregistered => retry,
-                    };
-                    Some((reason, hint))
-                }
-            }
-        };
-        if let Some((reason, hint)) = admission {
-            let counter = match reason {
-                RefusalReason::Unregistered => &self.metrics.refused_unregistered,
-                RefusalReason::UserRateExceeded => &self.metrics.refused_user_rate,
-                RefusalReason::SubnetRateExceeded => &self.metrics.refused_subnet_rate,
-            };
-            counter.inc();
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: wire_reason(reason),
-                retry_after_secs: hint,
-            });
+        if !self.admit(query_id, user, sink.as_ref()) {
             return;
         }
         let trailer_framing = session.streaming();
@@ -643,16 +602,9 @@ impl FrontDoor {
         let retry = self.config.retry_after_secs;
         self.inflight_queries.fetch_add(1, Ordering::SeqCst);
         let _guard = InflightGuard(self);
-        if self.draining() {
-            self.metrics.refused_shutdown.inc();
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: RefuseReason::ShuttingDown,
-                retry_after_secs: retry,
-            });
-            return;
-        }
-        if session.version() < 2 {
+        // A draining server answers `ShuttingDown` first (inside `admit`);
+        // otherwise v1 sessions are refused before they spend a token.
+        if session.version() < 2 && !self.draining() {
             sink.push_control(Frame::Refused {
                 query_id,
                 reason: RefuseReason::WritesUnsupported,
@@ -660,35 +612,7 @@ impl FrontDoor {
             });
             return;
         }
-        let now = self.now_secs();
-        let admission = {
-            let mut gk = self.gatekeeper.lock();
-            match gk.admit(UserId(user), now) {
-                Admission::Granted => None,
-                Admission::Refused(reason) => {
-                    let hint = match reason {
-                        RefusalReason::UserRateExceeded | RefusalReason::SubnetRateExceeded => gk
-                            .retry_at(UserId(user), now)
-                            .map(|at| (at - now).max(0.0))
-                            .unwrap_or(retry),
-                        RefusalReason::Unregistered => retry,
-                    };
-                    Some((reason, hint))
-                }
-            }
-        };
-        if let Some((reason, hint)) = admission {
-            let counter = match reason {
-                RefusalReason::Unregistered => &self.metrics.refused_unregistered,
-                RefusalReason::UserRateExceeded => &self.metrics.refused_user_rate,
-                RefusalReason::SubnetRateExceeded => &self.metrics.refused_subnet_rate,
-            };
-            counter.inc();
-            sink.push_control(Frame::Refused {
-                query_id,
-                reason: wire_reason(reason),
-                retry_after_secs: hint,
-            });
+        if !self.admit(query_id, user, sink.as_ref()) {
             return;
         }
         let stmt = match parse(sql) {
@@ -776,6 +700,54 @@ impl FrontDoor {
                 });
             }
         }
+    }
+
+    /// Admission for one statement frame: refuse it while draining, then
+    /// ask the gatekeeper. A refused frame is answered here — a
+    /// `REFUSED` frame with its retry hint, and the matching refusal
+    /// counter bumped — and `false` is returned.
+    fn admit(&self, query_id: u32, user: u64, sink: &dyn FrameSink) -> bool {
+        let retry = self.config.retry_after_secs;
+        if self.draining() {
+            self.metrics.refused_shutdown.inc();
+            sink.push_control(Frame::Refused {
+                query_id,
+                reason: RefuseReason::ShuttingDown,
+                retry_after_secs: retry,
+            });
+            return false;
+        }
+        let now = self.now_secs();
+        let (reason, hint) = {
+            let mut gk = self.gatekeeper.lock();
+            let reason = match gk.admit(UserId(user), now) {
+                Admission::Granted => return true,
+                Admission::Refused(reason) => reason,
+            };
+            // Rate refusals carry the gatekeeper's exact refill time; a
+            // client that waits precisely this long is admitted, one that
+            // retries earlier is refused again.
+            let hint = match reason {
+                RefusalReason::UserRateExceeded | RefusalReason::SubnetRateExceeded => gk
+                    .retry_at(UserId(user), now)
+                    .map(|at| (at - now).max(0.0))
+                    .unwrap_or(retry),
+                RefusalReason::Unregistered => retry,
+            };
+            (reason, hint)
+        };
+        let counter = match reason {
+            RefusalReason::Unregistered => &self.metrics.refused_unregistered,
+            RefusalReason::UserRateExceeded => &self.metrics.refused_user_rate,
+            RefusalReason::SubnetRateExceeded => &self.metrics.refused_subnet_rate,
+        };
+        counter.inc();
+        sink.push_control(Frame::Refused {
+            query_id,
+            reason: wire_reason(reason),
+            retry_after_secs: hint,
+        });
+        false
     }
 
     /// Schedule one chunk's rows on the wheel: consecutive rows whose
