@@ -58,7 +58,7 @@ fn fingerprint(config: GuardConfig) -> u64 {
         db.execute_at(&format!("INSERT INTO items VALUES ({i}, 'row-{i}')"), 0.0)
             .unwrap();
     }
-    let mut rng = Mix(0x5EED_0F_DE1A);
+    let mut rng = Mix(0x005E_ED0F_DE1A);
     let mut next_id = ROWS;
     let mut h = FNV_OFFSET;
     for step in 0..STATEMENTS {
