@@ -757,19 +757,12 @@ impl GuardedDatabase {
         // One clock read, exactly like the ad-hoc path.
         let issued_at_nanos = self.clock.now_nanos();
         let now_secs = nanos_to_secs(issued_at_nanos);
+        let rows = |query: StreamedQuery<'_, '_>| match query {
+            StreamedQuery::Rows(stream) => f(stream),
+            StreamedQuery::Finished(_) => unreachable!("prepared statements are always SELECTs"),
+        };
         let source = Source::Prepared(prep, scratch);
-        self.open(
-            source,
-            false,
-            now_secs,
-            issued_at_nanos,
-            |query| match query {
-                StreamedQuery::Rows(stream) => f(stream),
-                StreamedQuery::Finished(_) => {
-                    unreachable!("prepared statements are always SELECTs")
-                }
-            },
-        )
+        self.open(source, false, now_secs, issued_at_nanos, rows)
     }
 
     /// The one opener behind every entry point: draws the shaping nonce,
