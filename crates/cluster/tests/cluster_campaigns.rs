@@ -528,6 +528,13 @@ fn writes_route_to_owners_and_ride_delta_sync() {
                 (0.2..0.6).contains(&ratio),
                 "global n should cut the delay by ~3/8: before {d_before}, after {d_after}"
             );
+            if seed == 37 {
+                assert_eq!(
+                    world.digest(),
+                    3_819_052_010_196_647_161,
+                    "pinned execution moved"
+                );
+            }
         },
     );
 }

@@ -144,6 +144,9 @@ fn same_seed_runs_are_bit_identical() {
         let b = run(seed);
         assert_eq!(a.0, b.0, "same seed must produce identical digests");
         assert_eq!(a, b, "same seed must reproduce the whole execution");
+        if seed == 1207 {
+            assert_eq!(a.0, 17_185_855_769_410_543_386, "pinned execution moved");
+        }
         // A different seed shifts the fault sampling and therefore the
         // execution; the digest sees it.
         let c = run(seed ^ 0x5555_5555);
@@ -253,6 +256,13 @@ fn seeded_drops_and_resets_are_injected() {
         );
         assert!(completed > 0, "some sessions must still complete");
         assert!(failed > 0, "some sessions must be disturbed by faults");
+        if seed == 77 {
+            assert_eq!(
+                world.digest(),
+                16_217_509_019_885_012_616,
+                "pinned execution moved"
+            );
+        }
     });
 }
 
@@ -389,6 +399,13 @@ fn partition_mid_drain_delivers_every_tuple_after_heal() {
                     assert_eq!(reason, RefuseReason::ShuttingDown)
                 }
                 other => panic!("expected shutting-down refusal, got {other:?}"),
+            }
+            if seed == 909 {
+                assert_eq!(
+                    world.digest(),
+                    4_149_648_651_043_698_493,
+                    "pinned execution moved"
+                );
             }
         },
     );
