@@ -9,17 +9,18 @@
 //! Two questions about the sharded front door:
 //!
 //! * **What does the router hop cost?** The same warmed point query is
-//!   crawled through a 4-node [`ClusterCampaign`] twice: through the
-//!   router (client → router → owning shard) and over a connection
-//!   pinned straight to the owning node (client → node). Same world,
-//!   same pricing stack, same codec on every hop — the ratio isolates
-//!   exactly the routing layer: registration broadcast, per-query SQL
-//!   routing, per-node sink fan-out. Gate: the routed point query stays
-//!   within 2x of the direct one (enforced on the full run). The
-//!   single-node testkit world is also measured, as context: that gap
-//!   is the *replication tax* (merged-snapshot rebuilds over all N
-//!   shards' aggregates), paid by every node of a replicated cluster
-//!   whether or not a router is in front.
+//!   crawled through a 4-node [`ClusterCampaign`] (the N-node mode of
+//!   the testkit's `SimWorld`) twice: through the router (client →
+//!   router → owning shard) and over a connection pinned straight to
+//!   the owning node (client → node). Same world, same pricing stack,
+//!   same codec on every hop — the ratio isolates exactly the routing
+//!   layer: registration broadcast, per-query SQL routing, per-node sink
+//!   fan-out. Gate: the routed point query stays within 2x of the direct
+//!   one (enforced on the full run). A one-node `SimWorld` is also
+//!   measured, as context: that gap is the *replication tax*
+//!   (merged-snapshot rebuilds over all N shards' aggregates), paid by
+//!   every node of a replicated cluster whether or not a router is in
+//!   front.
 //! * **How fast does a traffic shift propagate?** After the cluster
 //!   converges on the Zipf warm state, one tuple's owner absorbs a
 //!   burst that doubles `fmax`. Every other node keeps charging the

@@ -36,7 +36,7 @@ use delayguard_server::gate::{GateConfig, MutationVerb};
 use delayguard_storage::RowId;
 use delayguard_testkit::net::{self, MutationOutcome, QueryOutcome};
 use delayguard_testkit::world::{MeshLink, SimConfig, SimWorld};
-use delayguard_testkit::{FaultPlan, StalenessCampaign, StalenessParams, StalenessReport};
+use delayguard_testkit::{StalenessCampaign, StalenessParams, StalenessReport};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -82,10 +82,10 @@ impl Bench {
                 },
                 tick: Duration::from_millis(1),
                 send_queue_rows: 4096,
-                faults: FaultPlan::ideal(),
+                ..SimConfig::default()
             },
         );
-        let db = world.db();
+        let db = world.db(0);
         db.execute_at(
             "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
             0.0,

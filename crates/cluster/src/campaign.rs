@@ -25,16 +25,11 @@
 //! sequential order and the shard-grouped order a partition-aware
 //! adversary would use.
 
-use crate::sim::{ClusterConfig, ClusterLink, ClusterWorld};
-use delayguard_core::access::{AccessDelayPolicy, FmaxMode};
 use delayguard_core::analysis;
-use delayguard_core::policy::GuardPolicy;
-use delayguard_core::GuardConfig;
-use delayguard_query::StatementOutput;
-use delayguard_server::gate::GateConfig;
 use delayguard_storage::RowId;
-use delayguard_testkit::campaign::{CampaignParams, CrawlReport};
+use delayguard_testkit::campaign::{self, CampaignParams, CrawlReport};
 use delayguard_testkit::net::{self, QueryOutcome};
+use delayguard_testkit::{MeshLink, SimConfig, SimWorld};
 use delayguard_workload::{generalized_harmonic, Rng, Zipf};
 
 /// Per-attempt timeout for a registration exchange (virtual seconds).
@@ -71,7 +66,7 @@ impl Default for ClusterCampaignParams {
 
 /// A simulated cluster seeded as the sharded running example.
 pub struct ClusterCampaign {
-    world: ClusterWorld,
+    world: SimWorld,
     params: ClusterCampaignParams,
     /// Row id of the rank-`i` tuple (index `i − 1`), on its owning node.
     rids: Vec<RowId>,
@@ -85,68 +80,22 @@ impl ClusterCampaign {
     /// time zero — and, when replication is on, run one gossip round so
     /// the warm state converges before any client connects.
     pub fn new(seed: u64, params: ClusterCampaignParams) -> ClusterCampaign {
-        let base = &params.base;
-        let policy = AccessDelayPolicy::new(base.alpha, base.beta)
-            .with_cap(base.cap_secs)
-            .with_fmax_mode(FmaxMode::DecayedTotal);
-        // Like `Campaign::new`: fold the world seed into the jitter seed
-        // when shaping is on, so `TESTKIT_REPLAY` replays the exact
-        // shaped schedule. Every node shares the folded seed — a query
-        // must price identically wherever its shard lives.
-        let mut shaping = base.shaping;
-        if shaping.enabled {
-            shaping.seed ^= seed;
-        }
-        let guard = GuardConfig::paper_default()
-            .with_policy(GuardPolicy::AccessRate(policy))
-            .with_shaping(shaping);
-        let gate = GateConfig {
-            gatekeeper: base.gatekeeper,
-            ..GateConfig::default()
-        };
-        let world = ClusterWorld::new(
+        // Every node shares the folded shaping seed — a query must price
+        // identically wherever its shard lives.
+        let world = SimWorld::new(
             seed,
-            ClusterConfig {
+            SimConfig {
                 nodes: params.nodes,
-                guard,
-                gate,
-                tick: base.tick,
-                send_queue_rows: base.send_queue_rows,
                 sync_interval_secs: params.sync_interval_secs,
-                peer_latency_secs: 0.0,
-                client_latency_secs: 0.0,
+                ..params.base.sim_config(seed)
             },
         );
         let map = world.partition_map();
-        let mut by_id: Vec<(u64, RowId)> = Vec::with_capacity(base.n as usize);
+        let mut by_id: Vec<(u64, RowId)> = Vec::with_capacity(params.base.n as usize);
         for j in 0..params.nodes {
-            let db = world.node_db(j);
-            db.execute_at(
-                "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
-                0.0,
-            )
-            .expect("create table");
-            db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
-                .expect("create index");
-            let mut counts: Vec<(RowId, f64)> = Vec::new();
-            for id in map.ids_of(j, base.n) {
-                let resp = db
-                    .execute_at(
-                        &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
-                        0.0,
-                    )
-                    .expect("insert row");
-                let rid = match resp.output {
-                    StatementOutput::Inserted { rids: mut r } => {
-                        r.pop().expect("one rid per insert")
-                    }
-                    other => panic!("unexpected insert output: {other:?}"),
-                };
-                let rank = (id + 1) as f64;
-                by_id.push((id, rid));
-                counts.push((rid, base.seed_scale * rank.powf(-base.alpha)));
-            }
-            db.warm_accesses("directory", &counts, 0.0);
+            let ids = map.ids_of(j, params.base.n);
+            let rids = campaign::seed_directory(&world.db(j), ids.iter().copied(), &params.base);
+            by_id.extend(ids.into_iter().zip(rids));
         }
         if params.sync_interval_secs > 0.0 {
             world.sync_now();
@@ -162,7 +111,7 @@ impl ClusterCampaign {
     }
 
     /// The underlying cluster (digest, metrics, partition control).
-    pub fn world(&self) -> &ClusterWorld {
+    pub fn world(&self) -> &SimWorld {
         &self.world
     }
 
@@ -225,11 +174,6 @@ impl ClusterCampaign {
         )
     }
 
-    /// The point query that touches exactly the rank-`i` tuple.
-    pub fn sql_for_rank(&self, rank: u64) -> String {
-        format!("SELECT * FROM directory WHERE id = {}", rank - 1)
-    }
-
     /// Every rank in the paper's sequential crawl order `1..=n` — which
     /// already round-robins across shards (rank `i` lives on node
     /// `(i−1) mod N`).
@@ -257,7 +201,7 @@ impl ClusterCampaign {
 
     // ---- drivers ----------------------------------------------------------
 
-    fn register_link(&mut self, ip: [u8; 4]) -> (ClusterLink, u64) {
+    fn register_link(&mut self, ip: [u8; 4]) -> (MeshLink, u64) {
         let mut link = self.world.connect_link(ip);
         let (user, _) =
             net::register_until_admitted(&mut self.world, &mut link, [0; 4], REGISTER_TIMEOUT_SECS)
@@ -292,53 +236,16 @@ impl ClusterCampaign {
         self.run_crawl(link, user, ranks)
     }
 
-    fn run_crawl(&mut self, mut link: ClusterLink, user: u64, ranks: &[u64]) -> CrawlReport {
+    fn run_crawl(&mut self, mut link: MeshLink, user: u64, ranks: &[u64]) -> CrawlReport {
         let started_secs = self.world.now_secs();
-        let mut report = CrawlReport {
-            queries: 0,
-            refused: 0,
-            tuples: 0,
-            total_delay_secs: 0.0,
+        campaign::crawl(
+            &self.world,
+            &mut link,
+            user,
+            ranks,
+            &mut self.next_query_id,
             started_secs,
-            finished_secs: started_secs,
-            min_margin_secs: f64::INFINITY,
-        };
-        for &rank in ranks {
-            let sql = self.sql_for_rank(rank);
-            loop {
-                let qid = self.fresh_query_id();
-                match net::run_query(&mut link, qid, user, &sql, QUERY_TIMEOUT_SECS)
-                    .expect("link alive")
-                {
-                    QueryOutcome::Rows {
-                        rows,
-                        delay_secs,
-                        tuples,
-                        sent_at_secs,
-                        done_at_secs,
-                        ..
-                    } => {
-                        assert_eq!(rows.len(), 1, "rank {rank} must be a point lookup");
-                        report.queries += 1;
-                        report.tuples += tuples as u64;
-                        report.total_delay_secs += delay_secs;
-                        let margin = (done_at_secs - sent_at_secs) - delay_secs;
-                        report.min_margin_secs = report.min_margin_secs.min(margin);
-                        break;
-                    }
-                    QueryOutcome::Refused {
-                        retry_after_secs, ..
-                    } => {
-                        report.refused += 1;
-                        self.world.run_for(retry_after_secs + 1e-6);
-                    }
-                    QueryOutcome::Error { message } => panic!("rank {rank}: {message}"),
-                    QueryOutcome::TimedOut => panic!("rank {rank}: query timed out"),
-                }
-            }
-        }
-        report.finished_secs = self.world.now_secs();
-        report
+        )
     }
 
     /// One fresh identity queries the median rank once and returns the
@@ -352,7 +259,7 @@ impl ClusterCampaign {
     /// delay — the pricing currently in force on the owning node.
     pub fn probe_delay(&mut self, ip: [u8; 4], rank: u64) -> f64 {
         let (mut link, user) = self.register_link(ip);
-        let sql = self.sql_for_rank(rank);
+        let sql = campaign::sql_for_rank(rank);
         let qid = self.fresh_query_id();
         match net::run_query(&mut link, qid, user, &sql, QUERY_TIMEOUT_SECS).expect("link alive") {
             QueryOutcome::Rows { delay_secs, .. } => delay_secs,
@@ -368,7 +275,7 @@ impl ClusterCampaign {
         let node = self.world.partition_map().node_for_id(id);
         let rid = self.rids[id as usize];
         self.world
-            .node_db(node)
+            .db(node)
             .warm_accesses("directory", &[(rid, extra)], self.world.now_secs());
     }
 }

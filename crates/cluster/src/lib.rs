@@ -1,17 +1,19 @@
 //! # delayguard-cluster
 //!
-//! The sharded multi-node front door: N complete `delayguard-server`
-//! stacks partitioned by table behind a router, with the popularity
-//! aggregates that price `d(i)` replicated by a periodic delta-sync
-//! protocol (`DELTA` / `DELTA_ACK`, protocol v2).
+//! The sharded multi-node front door's campaigns: N complete
+//! `delayguard-server` stacks partitioned by table behind a router, with
+//! the popularity aggregates that price `d(i)` replicated by a periodic
+//! delta-sync protocol (`DELTA` / `DELTA_ACK`, protocol v2).
 //!
-//! * [`partition::PartitionMap`] — round-robin key ownership
-//!   (`id mod N`) and point-query routing. Round-robin models hash
-//!   partitioning: ownership is uncorrelated with popularity, so every
-//!   shard sees a proportional slice of the Zipf head and tail.
-//! * [`sim::ClusterWorld`] — the deterministic simulated cluster: one
-//!   virtual clock, real wire codec on every hop (client↔router and
-//!   node↔node), seeded digest, gossip cadence, partition/heal.
+//! The cluster itself is the N-node mode of the one simulated world,
+//! [`delayguard_testkit::SimWorld`] (set [`delayguard_testkit::SimConfig`]'s
+//! `nodes` and `sync_interval_secs`): one virtual clock, real wire codec
+//! on every hop (client↔router and node↔node), seeded digest, gossip
+//! cadence, cut/heal. Keys are owned round-robin by
+//! [`delayguard_testkit::PartitionMap`] (`id mod N`), which models hash
+//! partitioning: ownership is uncorrelated with popularity, so every
+//! shard sees a proportional slice of the Zipf head and tail.
+//!
 //! * [`campaign::ClusterCampaign`] — the paper's §2.4 campaigns against
 //!   the cluster, with closed-form expectations: replicated nodes
 //!   converge to the single-node Eq. 3/Eq. 4 economics; un-replicated
@@ -27,9 +29,5 @@
 #![forbid(unsafe_code)]
 
 pub mod campaign;
-pub mod partition;
-pub mod sim;
 
 pub use campaign::{ClusterCampaign, ClusterCampaignParams};
-pub use partition::PartitionMap;
-pub use sim::{ClusterConfig, ClusterLink, ClusterWorld, ConnId};

@@ -18,15 +18,14 @@
 //! * **Determinism.** Same seed, same drive ⇒ bit-identical event
 //!   digest, gossip, partitions and heals included.
 
-use delayguard_cluster::{
-    ClusterCampaign, ClusterCampaignParams, ClusterConfig, ClusterLink, ClusterWorld,
-};
+use delayguard_cluster::{ClusterCampaign, ClusterCampaignParams};
 use delayguard_core::gatekeeper::{GatekeeperConfig, RegistrationPolicy};
 use delayguard_core::shaping::DelayShaping;
 use delayguard_server::gate::GateConfig;
 use delayguard_sim::MetricValue;
 use delayguard_testkit::net::{self, NetLink, QueryOutcome};
 use delayguard_testkit::seed::{check_in, check_seeds_in};
+use delayguard_testkit::{MeshLink, SimConfig, SimWorld};
 
 const PKG: &str = "delayguard-cluster";
 
@@ -60,8 +59,8 @@ fn wide_open() -> GatekeeperConfig {
     }
 }
 
-fn counter(world: &ClusterWorld, node: usize, name: &str) -> u64 {
-    match world.node_registry(node).value(name) {
+fn counter(world: &SimWorld, node: usize, name: &str) -> u64 {
+    match world.registry(node).value(name) {
         Some(MetricValue::Counter(v)) => v,
         other => panic!("metric {name} on node {node}: {other:?}"),
     }
@@ -77,21 +76,21 @@ fn router_hands_out_one_identity_and_routes_point_queries() {
         "router_hands_out_one_identity_and_routes_point_queries",
         11,
         |seed| {
-            let mut world = ClusterWorld::new(
+            let mut world = SimWorld::new(
                 seed,
-                ClusterConfig {
+                SimConfig {
                     nodes: 2,
                     gate: GateConfig {
                         gatekeeper: wide_open(),
                         ..GateConfig::default()
                     },
                     sync_interval_secs: 60.0,
-                    ..ClusterConfig::default()
+                    ..SimConfig::default()
                 },
             );
             let map = world.partition_map();
             for j in 0..2 {
-                let db = world.node_db(j);
+                let db = world.db(j);
                 db.execute_at(
                     "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
                     0.0,
@@ -328,7 +327,7 @@ fn same_seed_drives_bit_identical_executions() {
     );
 }
 
-/// Delay shaping rides `ClusterConfig::guard` onto every node: a shaped
+/// Delay shaping rides `SimConfig::guard` onto every node: a shaped
 /// cluster replays bit-identically under the same seed (jitter is a pure
 /// function of the folded seed, query nonce, and tuple key — on whichever
 /// shard prices it), a *disabled* shaping knob is inert down to the wire
@@ -384,9 +383,9 @@ fn writes_route_to_owners_and_ride_delta_sync() {
             use delayguard_server::gate::MutationVerb;
             use delayguard_testkit::net::MutationOutcome;
 
-            let mut world = ClusterWorld::new(
+            let mut world = SimWorld::new(
                 seed,
-                ClusterConfig {
+                SimConfig {
                     nodes: 2,
                     guard: GuardConfig {
                         policy: GuardPolicy::UpdateRate(UpdateDelayPolicy::new(0.1).with_cap(10.0)),
@@ -397,7 +396,7 @@ fn writes_route_to_owners_and_ride_delta_sync() {
                         ..GateConfig::default()
                     },
                     sync_interval_secs: 60.0,
-                    ..ClusterConfig::default()
+                    ..SimConfig::default()
                 },
             );
             // Gossip only when the test says so: the before/after contrast
@@ -405,7 +404,7 @@ fn writes_route_to_owners_and_ride_delta_sync() {
             world.set_sync_enabled(false);
             let map = world.partition_map();
             for j in 0..2 {
-                let db = world.node_db(j);
+                let db = world.db(j);
                 db.execute_at(
                     "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
                     0.0,
@@ -443,11 +442,11 @@ fn writes_route_to_owners_and_ride_delta_sync() {
             assert_eq!(rows, 1);
             assert_eq!(
                 data_version,
-                world.node_db(0).table_data_version("directory").unwrap(),
+                world.db(0).table_data_version("directory").unwrap(),
                 "MUTATED must report the owner's post-write data version"
             );
             assert_eq!(data_version, 5, "four seed inserts plus this one");
-            assert_eq!(world.node_db(1).table_data_version("directory").unwrap(), 4);
+            assert_eq!(world.db(1).table_data_version("directory").unwrap(), 4);
 
             // UPDATE id 1 and DELETE id 3 → node 1; node 0 stays untouched.
             for (qid, verb, sql) in [
@@ -466,14 +465,14 @@ fn writes_route_to_owners_and_ride_delta_sync() {
                     net::run_mutation(&mut link, qid, user, verb, sql, 600.0).expect("link alive");
                 assert_eq!(out.rows(), Some(1), "{sql}: {out:?}");
             }
-            assert_eq!(world.node_db(0).table_data_version("directory").unwrap(), 5);
-            assert_eq!(world.node_db(1).table_data_version("directory").unwrap(), 6);
+            assert_eq!(world.db(0).table_data_version("directory").unwrap(), 5);
+            assert_eq!(world.db(1).table_data_version("directory").unwrap(), 6);
 
             // The update aggregate that will gossip: the update and the
             // delete each count one update event (inserts only ensure the
             // row is tracked), and the physical row count reflects the
             // delete.
-            let delta = world.node_gate(1).export_delta();
+            let delta = world.gate(1).export_delta();
             let (_, dir) = delta
                 .tables
                 .iter()
@@ -497,8 +496,8 @@ fn writes_route_to_owners_and_ride_delta_sync() {
             // server's background refresher folds pending events in on a
             // cadence. Pin the refreshes here so both reads price from an
             // up-to-date view.
-            world.node_db(1).refresh();
-            let read = |world: &ClusterWorld, link: &mut ClusterLink, qid| match net::run_query(
+            world.db(1).refresh();
+            let read = |world: &SimWorld, link: &mut MeshLink, qid| match net::run_query(
                 link,
                 qid,
                 user,
@@ -521,7 +520,7 @@ fn writes_route_to_owners_and_ride_delta_sync() {
                 "pre-sync delay should be computed, not capped: {d_before}"
             );
             world.sync_now();
-            world.node_db(1).refresh();
+            world.db(1).refresh();
             let d_after = read(&world, &mut link, 202);
             let ratio = d_after / d_before;
             assert!(
@@ -554,9 +553,9 @@ fn update_term_off_is_bit_identical_for_cluster_reads() {
             use delayguard_core::{AccessDelayPolicy, GuardConfig, GuardPolicy, UpdateDelayPolicy};
 
             let run = |policy: GuardPolicy| {
-                let mut world = ClusterWorld::new(
+                let mut world = SimWorld::new(
                     seed,
-                    ClusterConfig {
+                    SimConfig {
                         nodes: 2,
                         guard: GuardConfig {
                             policy,
@@ -567,12 +566,12 @@ fn update_term_off_is_bit_identical_for_cluster_reads() {
                             ..GateConfig::default()
                         },
                         sync_interval_secs: 60.0,
-                        ..ClusterConfig::default()
+                        ..SimConfig::default()
                     },
                 );
                 let map = world.partition_map();
                 for j in 0..2 {
-                    let db = world.node_db(j);
+                    let db = world.db(j);
                     db.execute_at(
                         "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
                         0.0,

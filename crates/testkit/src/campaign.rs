@@ -38,7 +38,7 @@ use delayguard_core::analysis;
 use delayguard_core::gatekeeper::{GatekeeperConfig, RegistrationPolicy};
 use delayguard_core::policy::GuardPolicy;
 use delayguard_core::shaping::DelayShaping;
-use delayguard_core::GuardConfig;
+use delayguard_core::{GuardConfig, GuardedDatabase};
 use delayguard_query::StatementOutput;
 use delayguard_server::gate::GateConfig;
 use delayguard_server::protocol::Frame;
@@ -112,6 +112,32 @@ impl CampaignParams {
             // the very channel under test.
             seed_scale: 1e9,
             ..CampaignParams::default()
+        }
+    }
+
+    /// The one-node world these parameters describe: the access-rate
+    /// policy with the `DecayedTotal` fmax, shaping with the world seed
+    /// folded into its jitter seed (so `TESTKIT_REPLAY` replays the
+    /// exact shaped schedule), and the configured gatekeeper and tick.
+    pub fn sim_config(&self, seed: u64) -> SimConfig {
+        let policy = AccessDelayPolicy::new(self.alpha, self.beta)
+            .with_cap(self.cap_secs)
+            .with_fmax_mode(FmaxMode::DecayedTotal);
+        let mut shaping = self.shaping;
+        if shaping.enabled {
+            shaping.seed ^= seed;
+        }
+        SimConfig {
+            guard: GuardConfig::paper_default()
+                .with_policy(GuardPolicy::AccessRate(policy))
+                .with_shaping(shaping),
+            gate: GateConfig {
+                gatekeeper: self.gatekeeper,
+                ..GateConfig::default()
+            },
+            tick: self.tick,
+            send_queue_rows: self.send_queue_rows,
+            ..SimConfig::default()
         }
     }
 }
@@ -335,6 +361,106 @@ pub fn theil_sen_slope(pts: &[(f64, f64)]) -> f64 {
     slopes[slopes.len() / 2]
 }
 
+/// Create the `directory` table on `db` and insert the rows with `ids`
+/// at virtual time zero, then warm each with the Zipf count of its rank
+/// (`c_i = seed_scale · i^(−α)`, rank `i` is the row with `id = i − 1`).
+/// Returns the row ids in `ids` order.
+pub fn seed_directory(
+    db: &GuardedDatabase,
+    ids: impl IntoIterator<Item = u64>,
+    params: &CampaignParams,
+) -> Vec<RowId> {
+    db.execute_at(
+        "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
+        0.0,
+    )
+    .expect("create table");
+    db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
+        .expect("create index");
+    let mut rids = Vec::new();
+    let mut counts: Vec<(RowId, f64)> = Vec::new();
+    for id in ids {
+        let resp = db
+            .execute_at(
+                &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
+                0.0,
+            )
+            .expect("insert row");
+        let rid = match resp.output {
+            StatementOutput::Inserted { rids: mut r } => r.pop().expect("one rid per insert"),
+            other => panic!("unexpected insert output: {other:?}"),
+        };
+        let rank = (id + 1) as f64;
+        rids.push(rid);
+        counts.push((rid, params.seed_scale * rank.powf(-params.alpha)));
+    }
+    db.warm_accesses("directory", &counts, 0.0);
+    rids
+}
+
+/// The point query that touches exactly the rank-`i` tuple.
+pub fn sql_for_rank(rank: u64) -> String {
+    format!("SELECT * FROM directory WHERE id = {}", rank - 1)
+}
+
+/// One registered identity crawls `ranks` in order over `link`, honoring
+/// refusal hints, accumulating the server's own delay accounting. Query
+/// ids come from `next_query_id`; `started_secs` is the caller's start
+/// of the crawl (before or after registration).
+pub fn crawl(
+    world: &SimWorld,
+    link: &mut MeshLink,
+    user: u64,
+    ranks: &[u64],
+    next_query_id: &mut u32,
+    started_secs: f64,
+) -> CrawlReport {
+    let mut report = CrawlReport {
+        queries: 0,
+        refused: 0,
+        tuples: 0,
+        total_delay_secs: 0.0,
+        started_secs,
+        finished_secs: started_secs,
+        min_margin_secs: f64::INFINITY,
+    };
+    for &rank in ranks {
+        let sql = sql_for_rank(rank);
+        loop {
+            let qid = *next_query_id;
+            *next_query_id += 1;
+            match net::run_query(link, qid, user, &sql, QUERY_TIMEOUT_SECS).expect("link alive") {
+                QueryOutcome::Rows {
+                    rows,
+                    delay_secs,
+                    tuples,
+                    sent_at_secs,
+                    done_at_secs,
+                    ..
+                } => {
+                    assert_eq!(rows.len(), 1, "rank {rank} must be a point lookup");
+                    report.queries += 1;
+                    report.tuples += tuples as u64;
+                    report.total_delay_secs += delay_secs;
+                    let margin = (done_at_secs - sent_at_secs) - delay_secs;
+                    report.min_margin_secs = report.min_margin_secs.min(margin);
+                    break;
+                }
+                QueryOutcome::Refused {
+                    retry_after_secs, ..
+                } => {
+                    report.refused += 1;
+                    world.run_for(retry_after_secs + 1e-6);
+                }
+                QueryOutcome::Error { message } => panic!("rank {rank}: {message}"),
+                QueryOutcome::TimedOut => panic!("rank {rank}: query timed out"),
+            }
+        }
+    }
+    report.finished_secs = world.now_secs();
+    report
+}
+
 /// A simulated deployment seeded as the paper's running example.
 pub struct Campaign {
     world: SimWorld,
@@ -350,66 +476,8 @@ impl Campaign {
     /// accesses per rank — all at virtual time zero, before any client
     /// connects. Rank `i` is the row with `id = i − 1`.
     pub fn new(seed: u64, params: CampaignParams) -> Campaign {
-        let policy = AccessDelayPolicy::new(params.alpha, params.beta)
-            .with_cap(params.cap_secs)
-            .with_fmax_mode(FmaxMode::DecayedTotal);
-        // Fold the world seed into the jitter seed so different campaign
-        // seeds exercise different jitter draws while one seed replays
-        // bit-identically.
-        let mut shaping = params.shaping;
-        if shaping.enabled {
-            shaping.seed ^= seed;
-        }
-        let guard = GuardConfig::paper_default()
-            .with_policy(GuardPolicy::AccessRate(policy))
-            .with_shaping(shaping);
-        let gate = GateConfig {
-            gatekeeper: params.gatekeeper,
-            ..GateConfig::default()
-        };
-        let world = SimWorld::new(
-            seed,
-            SimConfig {
-                guard,
-                gate,
-                tick: params.tick,
-                send_queue_rows: params.send_queue_rows,
-                faults: crate::net::FaultPlan::ideal(),
-            },
-        );
-        let db = world.db();
-        db.execute_at(
-            "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
-            0.0,
-        )
-        .expect("create table");
-        db.execute_at("CREATE UNIQUE INDEX directory_pk ON directory (id)", 0.0)
-            .expect("create index");
-        let mut rids = Vec::with_capacity(params.n as usize);
-        for rank in 1..=params.n {
-            let id = rank - 1;
-            let resp = db
-                .execute_at(
-                    &format!("INSERT INTO directory VALUES ({id}, 'entry-{id}')"),
-                    0.0,
-                )
-                .expect("insert row");
-            match resp.output {
-                StatementOutput::Inserted { rids: mut r } => {
-                    rids.push(r.pop().expect("one rid per insert"))
-                }
-                other => panic!("unexpected insert output: {other:?}"),
-            }
-        }
-        let counts: Vec<(RowId, f64)> = rids
-            .iter()
-            .enumerate()
-            .map(|(i, &rid)| {
-                let rank = (i + 1) as f64;
-                (rid, params.seed_scale * rank.powf(-params.alpha))
-            })
-            .collect();
-        db.warm_accesses("directory", &counts, 0.0);
+        let world = SimWorld::new(seed, params.sim_config(seed));
+        let rids = seed_directory(&world.db(0), 0..params.n, &params);
         Campaign {
             world,
             // Independent stream from the world's fault RNG.
@@ -480,7 +548,7 @@ impl Campaign {
     /// The shaping policy the world actually prices under (the params'
     /// policy with the world seed folded into the jitter seed).
     pub fn effective_shaping(&self) -> DelayShaping {
-        self.world.db().config().shaping
+        self.world.db(0).config().shaping
     }
 
     /// Expected shaped delay for rank `i` (the raw capped Eq. 1 price
@@ -541,11 +609,6 @@ impl Campaign {
         )
     }
 
-    /// The point query that touches exactly the rank-`i` tuple.
-    pub fn sql_for_rank(&self, rank: u64) -> String {
-        format!("SELECT * FROM directory WHERE id = {}", rank - 1)
-    }
-
     /// Every rank, in crawl order `1..=n`.
     pub fn all_ranks(&self) -> Vec<u64> {
         (1..=self.params.n).collect()
@@ -590,51 +653,14 @@ impl Campaign {
     pub fn sequential_crawl(&mut self, ip: [u8; 4], ranks: &[u64]) -> CrawlReport {
         let started_secs = self.world.now_secs();
         let (mut link, user, _) = self.register_link(ip);
-        let mut report = CrawlReport {
-            queries: 0,
-            refused: 0,
-            tuples: 0,
-            total_delay_secs: 0.0,
+        crawl(
+            &self.world,
+            &mut link,
+            user,
+            ranks,
+            &mut self.next_query_id,
             started_secs,
-            finished_secs: started_secs,
-            min_margin_secs: f64::INFINITY,
-        };
-        for &rank in ranks {
-            let sql = self.sql_for_rank(rank);
-            loop {
-                let qid = self.fresh_query_id();
-                match net::run_query(&mut link, qid, user, &sql, QUERY_TIMEOUT_SECS)
-                    .expect("link alive")
-                {
-                    QueryOutcome::Rows {
-                        rows,
-                        delay_secs,
-                        tuples,
-                        sent_at_secs,
-                        done_at_secs,
-                        ..
-                    } => {
-                        assert_eq!(rows.len(), 1, "rank {rank} must be a point lookup");
-                        report.queries += 1;
-                        report.tuples += tuples as u64;
-                        report.total_delay_secs += delay_secs;
-                        let margin = (done_at_secs - sent_at_secs) - delay_secs;
-                        report.min_margin_secs = report.min_margin_secs.min(margin);
-                        break;
-                    }
-                    QueryOutcome::Refused {
-                        retry_after_secs, ..
-                    } => {
-                        report.refused += 1;
-                        self.world.run_for(retry_after_secs + 1e-6);
-                    }
-                    QueryOutcome::Error { message } => panic!("rank {rank}: {message}"),
-                    QueryOutcome::TimedOut => panic!("rank {rank}: query timed out"),
-                }
-            }
-        }
-        report.finished_secs = self.world.now_secs();
-        report
+        )
     }
 
     /// One identity from `ip` queries `ranks` in the given order, keeping
@@ -650,7 +676,7 @@ impl Campaign {
             min_margin_secs: f64::INFINITY,
         };
         for &rank in ranks {
-            let sql = self.sql_for_rank(rank);
+            let sql = sql_for_rank(rank);
             loop {
                 let qid = self.fresh_query_id();
                 match net::run_query(&mut link, qid, user, &sql, QUERY_TIMEOUT_SECS)
@@ -842,7 +868,7 @@ impl Campaign {
                     link.send(&Frame::Query {
                         query_id: qid,
                         user: *user,
-                        sql: format!("SELECT * FROM directory WHERE id = {}", rank - 1),
+                        sql: sql_for_rank(rank),
                     })
                     .expect("link alive");
                     state.inflight = Some(Pending {

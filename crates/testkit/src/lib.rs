@@ -12,11 +12,17 @@
 //! nondeterminism (latency, drops, partitions, resets, reordering,
 //! workload sampling) driven by one seed:
 //!
-//! * [`world::SimWorld`] — the simulated deployment: clients connect over
-//!   an in-memory channel mesh, frames travel through the real codec,
-//!   time advances only to the next scheduled thing (a wheel deadline or
-//!   a frame arrival), and months of simulated delay cost milliseconds of
-//!   wall clock.
+//! * [`world::SimWorld`] — the simulated deployment, one event loop for
+//!   both of its modes: a single server (the default) or an N-node
+//!   sharded cluster behind a router, with popularity aggregates
+//!   replicated by `DELTA` gossip and nodes cut off and healed on
+//!   demand. Clients connect over an in-memory channel mesh, frames
+//!   travel through the real codec, time advances only to the next
+//!   scheduled thing (a wheel deadline, a frame arrival or a gossip
+//!   tick), and months of simulated delay cost milliseconds of wall
+//!   clock.
+//! * [`partition::PartitionMap`] — the cluster's round-robin key
+//!   ownership (`id mod N`) and point-query/write routing.
 //! * [`net`] — the transport seam: [`net::SimNet`] / [`net::NetLink`]
 //!   are implemented by both the in-memory mesh and real TCP
 //!   ([`net::TcpNet`]), so the same generic client code drives either;
@@ -43,6 +49,7 @@
 
 pub mod campaign;
 pub mod net;
+pub mod partition;
 pub mod seed;
 pub mod staleness;
 pub mod world;
@@ -54,6 +61,7 @@ pub use campaign::{
 pub use net::{
     Arrival, FaultPlan, LinkError, MutationOutcome, NetLink, QueryOutcome, SimNet, TcpNet,
 };
+pub use partition::PartitionMap;
 pub use seed::{check, check_in, check_seeds, check_seeds_in, replay_seed};
 pub use staleness::{StalenessCampaign, StalenessParams, StalenessReport};
-pub use world::{ConnId, SimConfig, SimWorld};
+pub use world::{ConnId, MeshLink, SimConfig, SimWorld};

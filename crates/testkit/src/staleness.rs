@@ -168,10 +168,10 @@ impl StalenessCampaign {
                 gate,
                 tick: params.tick,
                 send_queue_rows: params.send_queue_rows,
-                faults: crate::net::FaultPlan::ideal(),
+                ..SimConfig::default()
             },
         );
-        let db = world.db();
+        let db = world.db(0);
         db.execute_at(
             "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
             0.0,

@@ -9,7 +9,7 @@ use delayguard_core::policy::{ChargingModel, GuardPolicy};
 use delayguard_server::gate::GateConfig;
 use delayguard_server::protocol::RefuseReason;
 use delayguard_testkit::net::{register_once, register_until_admitted, run_query};
-use delayguard_testkit::{check, FaultPlan, QueryOutcome, SimConfig, SimWorld};
+use delayguard_testkit::{check, QueryOutcome, SimConfig, SimWorld};
 use std::time::Duration;
 
 fn world_with(seed: u64, gatekeeper: GatekeeperConfig) -> SimWorld {
@@ -28,10 +28,10 @@ fn world_with(seed: u64, gatekeeper: GatekeeperConfig) -> SimWorld {
             },
             tick: Duration::from_millis(1),
             send_queue_rows: 4096,
-            faults: FaultPlan::ideal(),
+            ..SimConfig::default()
         },
     );
-    let db = world.db();
+    let db = world.db(0);
     db.execute_at("CREATE TABLE directory (id INT NOT NULL)", 0.0)
         .unwrap();
     db.execute_at("INSERT INTO directory VALUES (1)", 0.0)

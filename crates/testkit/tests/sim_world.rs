@@ -66,9 +66,10 @@ fn sim_world(seed: u64, rows: usize, cap_secs: f64, faults: FaultPlan) -> SimWor
             tick: Duration::from_millis(1),
             send_queue_rows: 4096,
             faults,
+            ..SimConfig::default()
         },
     );
-    seed_directory(&world.db(), rows);
+    seed_directory(&world.db(0), rows);
     world
 }
 

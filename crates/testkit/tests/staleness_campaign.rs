@@ -13,7 +13,7 @@ use delayguard_core::GuardConfig;
 use delayguard_server::gate::GateConfig;
 use delayguard_testkit::net::{self, QueryOutcome};
 use delayguard_testkit::world::{SimConfig, SimWorld};
-use delayguard_testkit::{check, check_seeds, FaultPlan, StalenessCampaign, StalenessParams};
+use delayguard_testkit::{check, check_seeds, StalenessCampaign, StalenessParams};
 use std::time::Duration;
 
 /// `(seed, world digest)` of the staleness race, pinned from a known-good
@@ -141,10 +141,10 @@ fn update_term_off_is_bit_identical_for_reads() {
                     },
                     tick: Duration::from_millis(1),
                     send_queue_rows: 4096,
-                    faults: FaultPlan::ideal(),
+                    ..SimConfig::default()
                 },
             );
-            let db = world.db();
+            let db = world.db(0);
             db.execute_at(
                 "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
                 0.0,

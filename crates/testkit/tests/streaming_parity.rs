@@ -14,7 +14,7 @@ use delayguard_core::GuardedDatabase;
 use delayguard_server::gate::GateConfig;
 use delayguard_server::protocol::{Frame, ROWS_UNKNOWN};
 use delayguard_testkit::net::{register_once_with_version, run_query, Arrival, LinkError, NetLink};
-use delayguard_testkit::{check, FaultPlan, QueryOutcome, SimConfig, SimWorld};
+use delayguard_testkit::{check, QueryOutcome, SimConfig, SimWorld};
 use std::time::Duration;
 
 fn open_gatekeeper() -> GatekeeperConfig {
@@ -74,10 +74,10 @@ fn sim_world(seed: u64, rows: usize, cap_secs: f64, send_queue_rows: usize) -> S
             },
             tick: Duration::from_millis(1),
             send_queue_rows,
-            faults: FaultPlan::ideal(),
+            ..SimConfig::default()
         },
     );
-    seed_directory(&world.db(), rows);
+    seed_directory(&world.db(0), rows);
     world
 }
 
@@ -236,12 +236,12 @@ fn backpressure_refusal_charges_nothing() {
                 other => panic!("v{version}: expected backpressure refusal, got {other:?}"),
             }
             let charged = world
-                .registry()
+                .registry(0)
                 .counter("server_delay_micros_charged")
                 .get();
             assert_eq!(charged, 0, "v{version}: refused query charged delay");
             assert_eq!(
-                world.registry().counter("server_rows_streamed").get(),
+                world.registry(0).counter("server_rows_streamed").get(),
                 0,
                 "v{version}: refused query streamed rows"
             );
@@ -252,12 +252,12 @@ fn backpressure_refusal_charges_nothing() {
             let control = sim_world(seed, 10, 0.3, 2);
             let at = world.now_secs().max(control.now_secs()) + 1.0;
             let after_refusal = world
-                .db()
+                .db(0)
                 .execute_at("SELECT * FROM directory", at)
                 .unwrap()
                 .delay_secs;
             let untouched = control
-                .db()
+                .db(0)
                 .execute_at("SELECT * FROM directory", at)
                 .unwrap()
                 .delay_secs;

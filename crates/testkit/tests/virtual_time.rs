@@ -11,7 +11,7 @@ use delayguard_server::gate::GateConfig;
 use delayguard_server::protocol::{Frame, RefuseReason};
 use delayguard_sim::MetricValue;
 use delayguard_testkit::net::{register_once, run_query};
-use delayguard_testkit::{check, FaultPlan, NetLink, QueryOutcome, SimConfig, SimWorld};
+use delayguard_testkit::{check, NetLink, QueryOutcome, SimConfig, SimWorld};
 use std::time::{Duration, Instant};
 
 fn open_gatekeeper() -> GatekeeperConfig {
@@ -41,10 +41,10 @@ fn sim_world(seed: u64, rows: usize, cap_secs: f64, send_queue_rows: usize) -> S
             },
             tick: Duration::from_millis(1),
             send_queue_rows,
-            faults: FaultPlan::ideal(),
+            ..SimConfig::default()
         },
     );
-    let db = world.db();
+    let db = world.db(0);
     db.execute_at(
         "CREATE TABLE directory (id INT NOT NULL, entry TEXT NOT NULL)",
         0.0,
@@ -70,7 +70,7 @@ fn popular_tuple_streams_faster_than_unpopular() {
     check("popular_tuple_streams_faster_than_unpopular", 21, |seed| {
         let cap = 0.4;
         let world = sim_world(seed, 50, cap, 4096);
-        let db = world.db();
+        let db = world.db(0);
         for t in 0..200 {
             db.execute_at("SELECT entry FROM directory WHERE id = 1", t as f64)
                 .unwrap();
@@ -168,7 +168,7 @@ fn draining_refuses_new_queries_but_delivers_inflight() {
                 })
                 .unwrap();
             world.run_for(0.05);
-            world.gate().begin_drain();
+            world.gate(0).begin_drain();
 
             match run_query(&mut second, 2, second_user, "SELECT * FROM directory", 1.0).unwrap() {
                 QueryOutcome::Refused { reason, .. } => {
@@ -227,7 +227,7 @@ fn ten_thousand_delays_pend_on_the_wheel_in_virtual_time() {
             // (10 000 rows / 256-row chunks), so the wheel pends tens of
             // batched sends, never one entry per tuple.
             let chunks = (10_000i64 + 255) / 256;
-            match world.registry().value("scheduler_pending") {
+            match world.registry(0).value("scheduler_pending") {
                 Some(MetricValue::Gauge { high_water, .. }) => {
                     assert!(
                         high_water >= chunks && high_water <= chunks + 4,
@@ -236,7 +236,7 @@ fn ten_thousand_delays_pend_on_the_wheel_in_virtual_time() {
                 }
                 other => panic!("scheduler_pending missing: {other:?}"),
             }
-            match world.registry().value("server_rows_streamed") {
+            match world.registry(0).value("server_rows_streamed") {
                 Some(MetricValue::Counter(n)) => assert_eq!(n, 10_000),
                 other => panic!("server_rows_streamed missing: {other:?}"),
             }

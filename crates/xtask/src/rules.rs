@@ -10,9 +10,11 @@
 //!   layers (`crates/core/src/policy.rs`, `crates/core/src/snapshot.rs`,
 //!   all of `crates/popularity`) and on the whole deterministic serving
 //!   path (`crates/server/src`, `crates/core/src/guarded.rs`,
-//!   `crates/core/src/clock.rs`, all of `crates/cluster/src` — the
-//!   cluster world runs entirely under the shared `ManualClock`, and a
-//!   single wall read would make its event loop unreplayable): those
+//!   `crates/core/src/clock.rs`, all of `crates/cluster/src`, and the
+//!   simulated world `crates/testkit/src/world.rs` with its
+//!   `crates/testkit/src/partition.rs` router map — the world runs
+//!   entirely under the shared `ManualClock`, and a single wall read
+//!   would make its event loop unreplayable): those
 //!   layers take time as a parameter or read it through the `Clock`
 //!   facade, so the same code runs under the simulated clock and stays
 //!   deterministic and model-checkable. The only vetted exceptions (in
@@ -20,8 +22,8 @@
 //!   implementation itself. Unit-test modules are exempt.
 //! * **R3 no `unwrap`/`expect` on server paths** — the long-running
 //!   server loops (`server.rs`, `scheduler.rs`, `wheel.rs`) and the
-//!   cluster front door's router/delta-sync path
-//!   (`crates/cluster/src/sim.rs`, `crates/cluster/src/partition.rs`)
+//!   simulated world's event loop, router and delta-sync path
+//!   (`crates/testkit/src/world.rs`, `crates/testkit/src/partition.rs`)
 //!   must not panic on recoverable conditions; vetted exceptions live in
 //!   `crates/xtask/lint-allow.txt`. Unit-test modules are exempt.
 //! * **R4 no `Relaxed` pointer publishes** — a store/swap (or the
@@ -171,9 +173,9 @@ fn rule_unsafe_needs_safety(rel: &str, s: &Scanned, findings: &mut Vec<Finding>)
 /// Files where wall-clock reads are banned: the pure policy/snapshot
 /// layers (time is a parameter), the whole serving path (time comes
 /// from the injected `Clock`, so the deterministic simulation harness
-/// controls it), and the cluster front door (router, delta sync and
-/// campaign drivers all run on the shared `ManualClock`; one wall read
-/// would break seeded replay of a multi-node run).
+/// controls it), and the simulated world and cluster front door (event
+/// loop, router, delta sync and campaign drivers all run on the shared
+/// `ManualClock`; one wall read would break seeded replay).
 fn wall_clock_banned(rel: &str) -> bool {
     rel == "crates/core/src/policy.rs"
         || rel == "crates/core/src/snapshot.rs"
@@ -182,6 +184,8 @@ fn wall_clock_banned(rel: &str) -> bool {
         || rel.starts_with("crates/popularity/")
         || rel.starts_with("crates/server/src/")
         || rel.starts_with("crates/cluster/src/")
+        || rel == "crates/testkit/src/world.rs"
+        || rel == "crates/testkit/src/partition.rs"
 }
 
 fn rule_no_wall_clock(
@@ -221,9 +225,9 @@ fn rule_no_wall_clock(
 }
 
 /// Server-loop files where panicking calls are banned: the real server's
-/// long-running loops, plus the cluster router/delta-sync path — one
-/// malformed frame or sync message must not take the whole front door
-/// down with it.
+/// long-running loops, plus the simulated world's router/delta-sync
+/// path — one malformed frame or sync message must not take the whole
+/// front door down with it.
 fn panic_free_path(rel: &str) -> bool {
     matches!(
         rel,
@@ -231,8 +235,8 @@ fn panic_free_path(rel: &str) -> bool {
             | "crates/server/src/gate.rs"
             | "crates/server/src/scheduler.rs"
             | "crates/server/src/wheel.rs"
-            | "crates/cluster/src/sim.rs"
-            | "crates/cluster/src/partition.rs"
+            | "crates/testkit/src/world.rs"
+            | "crates/testkit/src/partition.rs"
     )
 }
 
@@ -314,16 +318,16 @@ fn rule_no_collect_on_server_hot_path(
 /// Files whose loops run once per released tuple, where a stray
 /// allocation multiplies by the row count and blows the measured
 /// two-allocations-per-query budget. `gate.rs` covers the mutation path
-/// too (`handle_mutation` and its reply scheduling); the cluster router
-/// is included because reads *and* writes now flow through its
-/// per-frame routing and sink-drain loops.
+/// too (`handle_mutation` and its reply scheduling); the simulated
+/// world's router is included because reads *and* writes flow through
+/// its per-frame routing and sink-drain loops.
 fn row_loop_alloc_path(rel: &str) -> bool {
     matches!(
         rel,
         "crates/server/src/gate.rs"
             | "crates/server/src/scheduler.rs"
             | "crates/server/src/protocol.rs"
-            | "crates/cluster/src/sim.rs"
+            | "crates/testkit/src/world.rs"
     )
 }
 
@@ -616,8 +620,8 @@ mod tests {
     fn wall_clock_banned_across_the_cluster_crate() {
         let src = "fn f() { let t = Instant::now(); }\n";
         for rel in [
-            "crates/cluster/src/sim.rs",
-            "crates/cluster/src/partition.rs",
+            "crates/testkit/src/world.rs",
+            "crates/testkit/src/partition.rs",
             "crates/cluster/src/campaign.rs",
             "crates/cluster/src/lib.rs",
         ] {
@@ -631,8 +635,8 @@ mod tests {
     fn unwrap_on_cluster_router_path_fires() {
         let src = "fn f() { x.lock().unwrap(); }\n";
         for rel in [
-            "crates/cluster/src/sim.rs",
-            "crates/cluster/src/partition.rs",
+            "crates/testkit/src/world.rs",
+            "crates/testkit/src/partition.rs",
         ] {
             assert_eq!(lint(rel, src).len(), 1, "{rel} must be in R3 scope");
         }
@@ -788,7 +792,7 @@ mod tests {
                 "crates/server/src/gate.rs",
                 "crates/server/src/scheduler.rs",
                 "crates/server/src/protocol.rs",
-                "crates/cluster/src/sim.rs",
+                "crates/testkit/src/world.rs",
             ] {
                 let f = lint(rel, bad);
                 assert_eq!(f.len(), 1, "{rel} must flag {bad:?}");
