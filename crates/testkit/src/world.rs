@@ -105,7 +105,7 @@ impl Default for SimConfig {
     }
 }
 
-// ---- the per-connection frame sink --------------------------------------
+// ---- the frame sink (client and peer links) -----------------------------
 
 /// The mesh's [`FrameSink`]: the front door pushes response frames here
 /// (scheduler jobs included); the world drains them onto the simulated
